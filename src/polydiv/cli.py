@@ -12,7 +12,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import closedform
@@ -60,14 +60,21 @@ class Mismatch(PolyDivError):
     """Two division methods produced different exact results."""
 
 
+class OutputTooLarge(PolyDivError):
+    """A result value has too many decimal digits to print."""
+
+
 def _max_degree() -> int:
     raw = os.environ.get("POLYDIV_MAX_DEGREE")
     if raw is None:
         return DEFAULT_MAX_DEGREE
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise LimitExceeded(f"POLYDIV_MAX_DEGREE is not an integer: {raw!r}")
+    if cap < 0:
+        raise LimitExceeded(f"POLYDIV_MAX_DEGREE is negative: {raw!r}")
+    return cap
 
 
 def _check_coefficient(value: Fraction, column: int | None = None) -> Fraction:
@@ -182,6 +189,18 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _exact_str(value: Fraction) -> str:
+    # CPython refuses int-to-str conversions past a digit limit, a guard
+    # against quadratic-time conversion; that refusal is a domain error.
+    try:
+        return str(value)
+    except ValueError:
+        raise OutputTooLarge(
+            f"a result value has more than {sys.get_int_max_str_digits()} "
+            "decimal digits, the interpreter's int-to-str limit"
+        ) from None
+
+
 def render_polynomial(p: Polynomial) -> str:
     """Human text, descending powers; parse_polynomial inverts this."""
     if p.is_zero:
@@ -193,10 +212,10 @@ def render_polynomial(p: Polynomial) -> str:
             continue
         mag = abs(c)
         if i == 0:
-            body = str(mag)
+            body = _exact_str(mag)
         else:
             power = "x" if i == 1 else f"x^{i}"
-            body = power if mag == 1 else f"{mag}{power}"
+            body = power if mag == 1 else f"{_exact_str(mag)}{power}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -205,13 +224,14 @@ def render_polynomial(p: Polynomial) -> str:
 
 
 def _coeff_strings(p: Polynomial) -> tuple[str, ...]:
-    return tuple(str(c) for c in p.coeffs)
+    return tuple(_exact_str(c) for c in p.coeffs)
 
 
 @dataclass(frozen=True)
 class DivisionReport:
     """One division outcome, serialization-ready: every scalar is an
-    exact "num/den" or "num" string, coefficient arrays ascending."""
+    exact "num/den" or "num" string, coefficient arrays ascending.
+    ``result`` holds the polynomials the text form is rendered from."""
 
     dividend: str
     divisor: str
@@ -219,6 +239,7 @@ class DivisionReport:
     quotient: tuple[str, ...]
     remainder: tuple[str, ...]
     agreement: dict[str, bool] | None = None
+    result: DivisionResult = field(kw_only=True, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -234,8 +255,8 @@ class DivisionReport:
 
     def to_text(self) -> str:
         lines = [
-            f"quotient: {render_polynomial(Polynomial(self.quotient))}",
-            f"remainder: {render_polynomial(Polynomial(self.remainder))}",
+            f"quotient: {render_polynomial(self.result.quotient)}",
+            f"remainder: {render_polynomial(self.result.remainder)}",
         ]
         if self.agreement is not None:
             flags = " ".join(
@@ -275,6 +296,7 @@ def _build_report(
         quotient=_coeff_strings(result.quotient),
         remainder=_coeff_strings(result.remainder),
         agreement=agreement,
+        result=result,
     )
 
 
@@ -300,7 +322,7 @@ def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
     reference = METHODS["longdiv"](f, g)
     agreement: dict[str, bool] = {}
     for tag, method in METHODS.items():
-        result = method(f, g)
+        result = reference if tag == "longdiv" else method(f, g)
         agreement[tag] = result == reference
         if agreement[tag]:
             continue
@@ -327,7 +349,7 @@ def cmd_delta(divisor: str, k: int, variant: str) -> str:
         value = delta_pure_closed(spec, flipped=True)
     else:
         raise ParseError(f"unknown delta variant {variant!r}")
-    return str(value)
+    return _exact_str(value)
 
 
 def cmd_sequence(divisor: str, kind: str, count: int) -> str:
@@ -338,16 +360,14 @@ def cmd_sequence(divisor: str, kind: str, count: int) -> str:
         seq = t_sequence(views, count)
     else:
         raise ParseError(f"unknown sequence kind {kind!r}")
-    return ", ".join(str(term) for term in seq.terms)
+    return ", ".join(_exact_str(term) for term in seq.terms)
 
 
-def _handle_divide(args: argparse.Namespace) -> str:
-    report = cmd_divide(args.dividend, args.divisor, args.method)
-    return report.to_json() if args.format == "json" else report.to_text()
-
-
-def _handle_verify(args: argparse.Namespace) -> str:
-    report = cmd_verify(args.dividend, args.divisor)
+def _handle_report(args: argparse.Namespace) -> str:
+    if args.command == "verify":
+        report = cmd_verify(args.dividend, args.divisor)
+    else:
+        report = cmd_divide(args.dividend, args.divisor, args.method)
     return report.to_json() if args.format == "json" else report.to_text()
 
 
@@ -362,7 +382,7 @@ def _handle_sequence(args: argparse.Namespace) -> str:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polydiv",
-        description="Exact polynomial division, three independent ways.",
+        description="Exact polynomial division by four routes, held to exact agreement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,13 +391,13 @@ def _parser() -> argparse.ArgumentParser:
     divide.add_argument("--divisor", required=True)
     divide.add_argument("--method", choices=tuple(METHODS), default="longdiv")
     divide.add_argument("--format", choices=("text", "json"), default="text")
-    divide.set_defaults(handler=_handle_divide)
+    divide.set_defaults(handler=_handle_report)
 
     verify = sub.add_parser("verify", help="run all methods and compare exactly")
     verify.add_argument("--dividend", required=True)
     verify.add_argument("--divisor", required=True)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(handler=_handle_verify)
+    verify.set_defaults(handler=_handle_report)
 
     delta = sub.add_parser("delta", help="tail determinant of one divisor")
     delta.add_argument("--divisor", required=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .polycore import (
     DegreeTooSmall,
@@ -32,7 +33,6 @@ class RecurrentSequence:
     """Terms of one divisor-driven recurrence, 1-indexed via term()."""
 
     kind: str
-    source_views: DivisorViews
     terms: tuple[Rational, ...]
 
     def term(self, r: int) -> Rational:
@@ -63,7 +63,7 @@ def s_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
             if g != 0:
                 acc += g * terms[r - i - 1]
         terms.append(acc)
-    return RecurrentSequence(kind=S_MONIC, source_views=views, terms=tuple(terms))
+    return RecurrentSequence(kind=S_MONIC, terms=tuple(terms))
 
 
 def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
@@ -88,7 +88,7 @@ def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
             if ci != 0:
                 acc += ci * terms[r - i - 1]
         terms.append(acc * inv)
-    return RecurrentSequence(kind=T_GENERAL, source_views=views, terms=tuple(terms))
+    return RecurrentSequence(kind=T_GENERAL, terms=tuple(terms))
 
 
 def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -109,12 +109,13 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     m = views.degree
     if n < m:
         raise DegreeTooSmall(f"dividend degree {n} below divisor degree {m}")
-    t = t_sequence(views, n - m + 1)
+    t = t_sequence(views, n - m + 1).terms
+    a = f.coeffs
     d = [Fraction(0)] * (n - m + 1)
     for k in range(n - m + 1):
         acc = Fraction(0)
         for j in range(k + 1):
-            acc += t.term(k + 1 - j) * f.coeff(n - j)
+            acc += t[k - j] * a[n - j]
         d[n - m - k] = acc
     return Polynomial(d)
 
@@ -126,7 +127,7 @@ def remainder_closed(f: Polynomial, g: Polynomial, q: Polynomial) -> Polynomial:
     for k = 0 .. m-1. The quotient being exact makes everything from
     degree m upward cancel, so only the low m coefficients are formed.
     Passing a q that is not the true quotient of f by g produces garbage;
-    divide_closed guards that pairing.
+    divide_with guards that pairing.
     """
     views = divisor_views(g)
     m = views.degree
@@ -141,16 +142,26 @@ def remainder_closed(f: Polynomial, g: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(r)
 
 
-def divide_closed(f: Polynomial, g: Polynomial) -> DivisionResult:
-    """Full division via the recurrence route, for any f and nonzero g."""
+def divide_with(
+    f: Polynomial, g: Polynomial, quotient: Callable[[Polynomial, Polynomial], Polynomial]
+) -> DivisionResult:
+    """Full division of f by a nonzero g with quotient(f, g) as the
+    quotient formula and remainder_closed as the remainder formula.
+
+    The shapes no formula covers are settled here: a dividend of lower
+    degree is its own remainder, and a constant divisor only scales.
+    """
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     m = g.degree
     if f.is_zero or f.degree < m:
         return DivisionResult(quotient=Polynomial(), remainder=f)
     if m == 0:
-        inv = Fraction(1) / g.lead
-        return DivisionResult(quotient=f * inv, remainder=Polynomial())
-    q = quotient_closed(f, g)
-    r = remainder_closed(f, g, q)
-    return DivisionResult(quotient=q, remainder=r)
+        return DivisionResult(quotient=f * (Fraction(1) / g.lead), remainder=Polynomial())
+    q = quotient(f, g)
+    return DivisionResult(quotient=q, remainder=remainder_closed(f, g, q))
+
+
+def divide_closed(f: Polynomial, g: Polynomial) -> DivisionResult:
+    """Full division via the recurrence route, for any f and nonzero g."""
+    return divide_with(f, g, quotient_closed)

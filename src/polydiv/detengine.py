@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .closedform import t_sequence
+from .closedform import divide_with, t_sequence
 from .polycore import (
     DegreeTooSmall,
     DivisionResult,
@@ -30,6 +30,7 @@ from .polycore import (
     PolyDivError,
     Rational,
     ZeroDivisor,
+    _coerce,
     divisor_views,
 )
 
@@ -67,7 +68,7 @@ class ExactMatrix:
     rows: tuple[tuple[Rational, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence]):
-        grid = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        grid = tuple(tuple(_coerce(v) for v in row) for row in rows)
         if not grid:
             raise IndexOutOfRange("a matrix needs at least one row")
         if any(len(row) != len(grid) for row in grid):
@@ -262,7 +263,7 @@ def build_bordered(
     n, m = _require_division_shape(f, g)
     t = n - m + 2
     _check_order(t, max_order)
-    x0 = Fraction(x0)
+    x0 = _coerce(x0)
     hankel = build_hankel(g, n, max_order=max_order)
     rows = [hankel.rows[i] + (f.coeff(m + i),) for i in range(t - 1)]
     rows.append(tuple(x0 ** (n - m - j) for j in range(t - 1)) + (Fraction(0),))
@@ -304,7 +305,7 @@ def build_hessenberg(
     n, m = _require_division_shape(f, g)
     t = n - m + 2
     _check_order(t, max_order)
-    x0 = Fraction(x0)
+    x0 = _coerce(x0)
     rows = [
         (f.coeff(n - i),) + tuple(g.coeff(m - i + j - 1) for j in range(1, t))
         for i in range(t - 1)
@@ -463,7 +464,7 @@ def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
-    x0 = Fraction(x0)
+    x0 = _coerce(x0)
     lead = g.lead
     deltas = _mixed_deltas(f, g, t - 1)
     acc = Fraction(0)
@@ -546,31 +547,11 @@ def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
 
 def divide_det_formula(f: Polynomial, g: Polynomial) -> DivisionResult:
     """Full division with the quotient taken from the mixed deltas."""
-    from .closedform import remainder_closed
-
-    if g.is_zero:
-        raise ZeroDivisor("cannot divide by the zero polynomial")
-    m = g.degree
-    if f.is_zero or f.degree < m:
-        return DivisionResult(quotient=Polynomial(), remainder=f)
-    if m == 0:
-        return DivisionResult(quotient=f * (Fraction(1) / g.lead), remainder=Polynomial())
-    q = quotient_from_dets(f, g)
-    return DivisionResult(quotient=q, remainder=remainder_closed(f, g, q))
+    return divide_with(f, g, quotient_from_dets)
 
 
 def divide_det_ratio(
     f: Polynomial, g: Polynomial, max_order: int = DEFAULT_MAX_ORDER
 ) -> DivisionResult:
     """Full division with the quotient taken from the determinant ratio."""
-    from .closedform import remainder_closed
-
-    if g.is_zero:
-        raise ZeroDivisor("cannot divide by the zero polynomial")
-    m = g.degree
-    if f.is_zero or f.degree < m:
-        return DivisionResult(quotient=Polynomial(), remainder=f)
-    if m == 0:
-        return DivisionResult(quotient=f * (Fraction(1) / g.lead), remainder=Polynomial())
-    q = quotient_ratio(f, g, max_order=max_order)
-    return DivisionResult(quotient=q, remainder=remainder_closed(f, g, q))
+    return divide_with(f, g, lambda f, g: quotient_ratio(f, g, max_order=max_order))

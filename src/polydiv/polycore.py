@@ -32,7 +32,12 @@ class DegreeTooSmall(PolyDivError):
 
 
 def _coerce(value: Scalar) -> Rational:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        # Fraction(0.1) is the binary approximation, not 1/10.
+        raise TypeError(f"float {value!r} is not an exact scalar; pass an int, str or Fraction")
+    return Fraction(value)
 
 
 class Polynomial:
@@ -134,11 +139,10 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class DivisorViews:
-    """The three coefficient views of one nonzero divisor.
+    """The coefficient views of one nonzero divisor.
 
     For g of degree m with leading coefficient ``lead``:
 
-    * ``raw`` is g itself, coefficients g_0..g_m ascending;
     * ``monic_tail`` holds g_i / lead for i < m (the tail of g made monic);
     * ``negated_tail`` holds -g_i for i < m.
 
@@ -148,7 +152,6 @@ class DivisorViews:
     subtracted from the leading term. Indices outside 0..m-1 read as 0.
     """
 
-    raw: Polynomial
     lead: Rational
     monic_tail: tuple[Rational, ...]
     negated_tail: tuple[Rational, ...]
@@ -193,15 +196,6 @@ class DivisionResult:
         return self.remainder.degree < divisor.degree
 
 
-def normalize(coeffs: Iterable[Scalar]) -> Polynomial:
-    """Canonical polynomial from a raw coefficient sequence.
-
-    Trailing zeros are stripped; an all-zero or empty input yields the
-    canonical zero polynomial.
-    """
-    return Polynomial(coeffs)
-
-
 def evaluate(p: Polynomial, x0: Scalar) -> Rational:
     """Exact value of p at x0 by Horner's scheme."""
     x0 = _coerce(x0)
@@ -209,18 +203,6 @@ def evaluate(p: Polynomial, x0: Scalar) -> Rational:
     for c in reversed(p.coeffs):
         acc = acc * x0 + c
     return acc
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def scale(p: Polynomial, c: Scalar) -> Polynomial:
-    return p * _coerce(c)
 
 
 def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
@@ -259,9 +241,9 @@ def monic_reduction(f: Polynomial, g: Polynomial) -> DivisionResult:
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     lead = g.lead
-    inner = long_divide(f, scale(g, Fraction(1) / lead))
+    inner = long_divide(f, g * (Fraction(1) / lead))
     return DivisionResult(
-        quotient=scale(inner.quotient, Fraction(1) / lead),
+        quotient=inner.quotient * (Fraction(1) / lead),
         remainder=inner.remainder,
     )
 
@@ -273,7 +255,6 @@ def divisor_views(g: Polynomial) -> DivisorViews:
     lead = g.lead
     tail = g.coeffs[:-1]
     return DivisorViews(
-        raw=g,
         lead=lead,
         monic_tail=tuple(c / lead for c in tail),
         negated_tail=tuple(-c for c in tail),

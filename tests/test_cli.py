@@ -1,5 +1,6 @@
 """Parsing, rendering, reports, subcommands, and the exit-code contract."""
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from polydiv.cli import (
     parse_polynomial,
     render_polynomial,
 )
-from polydiv.polycore import DivisionResult, Polynomial
+from polydiv.polycore import DivisionResult, Polynomial, ZeroDivisor
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=8).map(Polynomial)
@@ -92,6 +93,9 @@ def test_degree_cap_env_override(monkeypatch):
     monkeypatch.setenv("POLYDIV_MAX_DEGREE", "not-a-number")
     with pytest.raises(LimitExceeded):
         parse_polynomial("x")
+    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "-3")
+    with pytest.raises(LimitExceeded, match="POLYDIV_MAX_DEGREE"):
+        parse_polynomial("1")
 
 
 def test_coefficient_bit_cap():
@@ -100,6 +104,22 @@ def test_coefficient_bit_cap():
         parse_polynomial(huge)
     with pytest.raises(LimitExceeded):
         parse_polynomial(f"[{huge}]")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int-to-str digit limit",
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_int_to_str_limit_is_domain_error(capsys, fmt):
+    # A 4096-bit lead puts 1/lead^12, about 14800 digits, into the quotient.
+    divisor = f"{2 ** 4095 + 1}x^2 + 1"
+    argv = ["divide", "--dividend", "x^24 + 1", "--divisor", divisor, "--format", fmt]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert str(sys.get_int_max_str_digits()) in out.err
+    assert "Traceback" not in out.err
 
 
 def test_render_examples():
@@ -169,6 +189,19 @@ def test_cmd_verify_detects_corrupted_method(monkeypatch):
         cmd_verify("x^4", "x^2-x-1")
     assert "det-formula" in str(exc.value)
     assert "x^0" in str(exc.value)
+
+
+@pytest.mark.parametrize("method", list(cli.METHODS))
+def test_methods_share_edge_cases(method):
+    divide = cli.METHODS[method]
+    f = Polynomial([2, 0, 6])
+    with pytest.raises(ZeroDivisor):
+        divide(f, Polynomial())
+    assert divide(Polynomial(), Polynomial([1, 1])) == DivisionResult(Polynomial(), Polynomial())
+    assert divide(f, Polynomial([0, 0, 0, 1])) == DivisionResult(Polynomial(), f)
+    assert divide(f, Polynomial([4])) == DivisionResult(
+        Polynomial([Fraction(1, 2), 0, Fraction(3, 2)]), Polynomial()
+    )
 
 
 def test_cmd_delta_variants():

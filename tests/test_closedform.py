@@ -19,8 +19,6 @@ from polydiv.polycore import (
     ZeroDivisor,
     divisor_views,
     long_divide,
-    mul,
-    scale,
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -90,7 +88,7 @@ def test_term_accessor_is_one_indexed():
 @given(divisors, st.integers(min_value=1, max_value=12))
 def test_lead_times_t_equals_monic_s(g, count):
     views = divisor_views(g)
-    monic_views = divisor_views(scale(g, Fraction(1) / g.lead))
+    monic_views = divisor_views(g * (Fraction(1) / g.lead))
     t_terms = t_sequence(views, count).terms
     s_terms = s_sequence(monic_views, count).terms
     assert all(views.lead * t == s for t, s in zip(t_terms, s_terms))
@@ -132,7 +130,7 @@ def test_remainder_closed_scaled_linear():
 
 @given(divisors)
 def test_remainder_closed_exact_divisibility(g):
-    f = mul(g, Polynomial([1, 1]))
+    f = g * Polynomial([1, 1])
     assert remainder_closed(f, g, quotient_closed(f, g)).is_zero
 
 

@@ -36,7 +36,6 @@ from polydiv.polycore import (
     Polynomial,
     divisor_views,
     long_divide,
-    mul,
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -238,7 +237,7 @@ def test_quotient_ratio_golden():
 
 
 def test_quotient_ratio_constant_multiple():
-    f = mul(GOLDEN_G, Polynomial([Fraction(7, 3)]))
+    f = GOLDEN_G * Polynomial([Fraction(7, 3)])
     assert quotient_ratio(f, GOLDEN_G) == Polynomial([Fraction(7, 3)])
 
 
@@ -375,6 +374,11 @@ def test_matrix_order_cap():
     with pytest.raises(MatrixTooLarge):
         quotient_ratio(Polynomial([0] * 9 + [1]), Polynomial([0, 1]), max_order=5)
     assert build_anti_identity(65, max_order=65).order == 65
+
+
+def test_exact_matrix_rejects_floats():
+    with pytest.raises(TypeError):
+        ExactMatrix([[0.5]])
 
 
 def test_leading_minor_bounds():
