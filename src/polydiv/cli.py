@@ -338,7 +338,17 @@ def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
     return _build_report(dividend, divisor, "longdiv", f, g, reference, agreement)
 
 
+def _check_count(flag: str, count: int) -> None:
+    # The sequence and delta recurrences cost O(count * m) exact
+    # operations on terms that grow with count, so the degree cap
+    # bounds the count as well.
+    cap = _max_degree()
+    if count > cap:
+        raise LimitExceeded(f"{flag} {count} exceeds the degree cap {cap} (POLYDIV_MAX_DEGREE)")
+
+
 def cmd_delta(divisor: str, k: int, variant: str) -> str:
+    _check_count("-k", k)
     views = divisor_views(parse_polynomial(divisor))
     spec = DeltaPureSpec(views=views, k=k)
     if variant == "pure-direct":
@@ -353,6 +363,7 @@ def cmd_delta(divisor: str, k: int, variant: str) -> str:
 
 
 def cmd_sequence(divisor: str, kind: str, count: int) -> str:
+    _check_count("-n", count)
     views = divisor_views(parse_polynomial(divisor))
     if kind == closedform.S_MONIC:
         seq = s_sequence(views, count)

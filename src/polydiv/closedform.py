@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .polycore import (
@@ -19,6 +20,9 @@ from .polycore import (
     Polynomial,
     Rational,
     ZeroDivisor,
+    _clear_denominators,
+    _convolve,
+    _powers,
     divisor_views,
 )
 
@@ -55,15 +59,34 @@ def s_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
     if count < 1:
         raise DegreeTooSmall("a sequence needs at least one term")
     m = views.degree
+    # gamma(m - i) for i = m .. 1; the terms with i > m vanish.
+    back = [-b for b in views.monic_tail]
     terms = [Fraction(1)]
     for r in range(2, count + 1):
+        width = min(r - 1, m)
         acc = Fraction(0)
-        for i in range(1, r):
-            g = views.gamma(m - i)
-            if g != 0:
-                acc += g * terms[r - i - 1]
+        for gamma, prev in zip(back[m - width:], terms[r - 1 - width:]):
+            if gamma != 0:
+                acc += gamma * prev
         terms.append(acc)
     return RecurrentSequence(kind=S_MONIC, terms=tuple(terms))
+
+
+def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]]:
+    # The general recurrence over the integers. Clearing the divisor to
+    # D*g, an integer polynomial with lead L and negated tail c', gives
+    # T_1 = 1 and T_r = sum of c'(m - i) * L^(i-1) * T_{r-i} over
+    # i = 1 .. min(r-1, m), with t_r = D * T_r / L^r. Returns D, L, T.
+    den, ints = _clear_denominators(views.negated_tail + (views.lead,))
+    lead = ints.pop()
+    m = len(ints)
+    # c'(m - i) * L^(i-1) for i = m .. 1.
+    back = [c * p for c, p in zip(ints, _powers(lead, m)[::-1])]
+    terms = [1]
+    for r in range(2, count + 1):
+        width = min(r - 1, m)
+        terms.append(sum(map(mul, back[m - width:], terms[r - 1 - width:])))
+    return den, lead, terms
 
 
 def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
@@ -78,17 +101,12 @@ def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
     """
     if count < 1:
         raise DegreeTooSmall("a sequence needs at least one term")
-    m = views.degree
-    inv = Fraction(1) / views.lead
-    terms = [inv]
-    for r in range(2, count + 1):
-        acc = Fraction(0)
-        for i in range(1, r):
-            ci = views.c(m - i)
-            if ci != 0:
-                acc += ci * terms[r - i - 1]
-        terms.append(acc * inv)
-    return RecurrentSequence(kind=T_GENERAL, terms=tuple(terms))
+    den, lead, terms = _general_terms(views, count)
+    powers = _powers(lead, count + 1)
+    return RecurrentSequence(
+        kind=T_GENERAL,
+        terms=tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:])),
+    )
 
 
 def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -109,15 +127,17 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     m = views.degree
     if n < m:
         raise DegreeTooSmall(f"dividend degree {n} below divisor degree {m}")
-    t = t_sequence(views, n - m + 1).terms
+    # With t_r = D * T_r / L^r the sum is D/L^(k+1) times the
+    # convolution of T with a_{n-j} * L^j.
+    den, lead, terms = _general_terms(views, n - m + 1)
+    powers = _powers(lead, n - m + 2)
     a = f.coeffs
-    d = [Fraction(0)] * (n - m + 1)
-    for k in range(n - m + 1):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += t[k - j] * a[n - j]
-        d[n - m - k] = acc
-    return Polynomial(d)
+    d = _convolve(
+        [den * term for term in terms],
+        [a[n - j] * powers[j] for j in range(n - m + 1)],
+        powers[1:],
+    )
+    return Polynomial(d[::-1])
 
 
 def remainder_closed(f: Polynomial, g: Polynomial, q: Polynomial) -> Polynomial:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .closedform import divide_with, t_sequence
@@ -30,7 +31,10 @@ from .polycore import (
     PolyDivError,
     Rational,
     ZeroDivisor,
+    _clear_denominators,
     _coerce,
+    _convolve,
+    _powers,
     divisor_views,
 )
 
@@ -344,35 +348,46 @@ def mixed_delta_matrix(spec: DeltaMixedSpec, max_order: int = DEFAULT_MAX_ORDER)
     )
 
 
-def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
+def _mixed_delta_parts(
+    f: Polynomial, g: Polynomial, kmax: int
+) -> tuple[int, list[int], list[int], list[Rational]]:
     # First-column Laplace expansion, run as a recursion. Striking row i
     # and column 0 from the order-k matrix leaves a block-triangular
     # minor: an upper-left triangle of lead coefficients contributing
     # lead^(i-1), and a lower-right band matrix in the divisor tail
     # whose determinant G_{k-i} satisfies the same expansion one level
-    # down. Everything is O(kmax^2) scalar operations.
+    # down. The band is homogeneous of degree s in the coefficients of
+    # g, so clearing g to D*g (lead L) keeps it integral: B_s = D^s G_s,
+    # and B_s needs only the p <= m tail terms. Then
+    #
+    #     delta_k = D^(1-k) * sum over j of B_{k-1-j} * (-1)^j a_{n-j} L^j
+    #
+    # for j = 0 .. k-1. Returns D, L^0 .. L^kmax, B_0 .. B_{kmax-1}
+    # and the values (-1)^j a_{n-j} L^j.
     n = f.degree
-    m = g.degree
-    lead = g.lead
-    band = [Fraction(1)]
+    den, ints = _clear_denominators(g.coeffs)
+    lead = ints.pop()
+    m = len(ints)
+    powers = _powers(lead, kmax + 1)
+    width = min(m, kmax - 1)
+    # (-1)^(p+1) * G_{m-p} * L^(p-1) for p = width .. 1.
+    back = [
+        (ints[m - p] if p % 2 == 1 else -ints[m - p]) * powers[p - 1]
+        for p in range(width, 0, -1)
+    ]
+    band = [1]
     for s in range(1, kmax):
-        acc = Fraction(0)
-        for p in range(1, s + 1):
-            gp = g.coeff(m - p)
-            if gp != 0:
-                term = gp * lead ** (p - 1) * band[s - p]
-                acc += term if p % 2 == 1 else -term
-        band.append(acc)
-    deltas = []
-    for k in range(1, kmax + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            ai = f.coeff(n - i + 1)
-            if ai != 0:
-                term = ai * lead ** (i - 1) * band[k - i]
-                acc += term if i % 2 == 1 else -term
-        deltas.append(acc)
-    return deltas
+        w = min(s, m)
+        band.append(sum(map(mul, back[width - w:], band[s - w:])))
+    values = [
+        f.coeff(n - j) * (powers[j] if j % 2 == 0 else -powers[j]) for j in range(kmax)
+    ]
+    return den, powers, band, values
+
+
+def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
+    den, _, band, values = _mixed_delta_parts(f, g, kmax)
+    return _convolve(band, values, _powers(den, kmax))
 
 
 def delta_mixed(spec: DeltaMixedSpec) -> Rational:
@@ -396,14 +411,13 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
     recursion fills them all.
     """
     n, m = _require_division_shape(f, g)
-    t = n - m + 2
-    lead = g.lead
-    deltas = _mixed_deltas(f, g, t - 1)
-    d = [
-        (1 if (t - j) % 2 == 0 else -1) * lead ** (j + 1 - t) * deltas[t - j - 2]
-        for j in range(n - m + 1)
-    ]
-    return Polynomial(d)
+    kmax = n - m + 1
+    # lead = L/D turns (-1)^(k+1) * lead^(-k) * delta_k into
+    # D * (B convolved with the values) / ((-1)^(k+1) * L^k).
+    den, powers, band, values = _mixed_delta_parts(f, g, kmax)
+    scales = [p if k % 2 == 1 else -p for k, p in enumerate(powers[1:], start=1)]
+    d = _convolve([den * b for b in band], values, scales)
+    return Polynomial(d[::-1])
 
 
 def _interpolation_nodes(count: int) -> list[Rational]:

@@ -8,9 +8,11 @@ and its degree is None rather than a sentinel integer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 # The coefficient field. Fraction is already canonical (reduced form,
 # positive denominator) and exact, which is all the package relies on.
@@ -187,13 +189,71 @@ class DivisionResult:
     def reconstructs(self, dividend: Polynomial, divisor: Polynomial) -> bool:
         """Check divisor * quotient + remainder == dividend exactly, along
         with the degree bound on the remainder."""
-        if divisor * self.quotient + self.remainder != dividend:
+        product = Polynomial()
+        if divisor and self.quotient:
+            # Descending from the quotient's leading coefficient, where
+            # the denominators of a true quotient nest; the divisor is
+            # cleared once and its denominator divided back out.
+            den, weights = _clear_denominators(divisor.coeffs[::-1])
+            count = len(weights) + len(self.quotient.coeffs) - 1
+            top = _convolve(weights, self.quotient.coeffs[::-1], [den] * count)
+            product = Polynomial(top[::-1])
+        if product + self.remainder != dividend:
             return False
         if self.remainder.is_zero:
             return True
         if divisor.is_zero:
             return False
         return self.remainder.degree < divisor.degree
+
+
+def _clear_denominators(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """The least common denominator D of the values and the integers D*v."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _powers(base: int, count: int) -> list[int]:
+    """base^0 .. base^(count-1)."""
+    out = []
+    power = 1
+    for _ in range(count):
+        out.append(power)
+        power *= base
+    return out
+
+
+def _convolve(
+    weights: Sequence[int], values: Sequence[Rational], scales: Sequence[int]
+) -> list[Rational]:
+    """Exact out[k] = (sum over j of weights[k-j] * values[j]) / scales[k]
+    for k = 0 .. len(scales)-1, with j running over the window
+    max(0, k - len(weights) + 1) .. min(k, len(values) - 1).
+
+    Fraction-free: weights and scales are integers, and the values are
+    cleared over a running common denominator. When values[k] brings a
+    denominator that does not divide it, the numerators still inside the
+    window are rescaled once. Only integers meet in the inner sums, and
+    each output is normalised as one Fraction.
+    """
+    back = weights[::-1]
+    width = len(back)
+    nums: list[int] = []
+    den = 1
+    out = []
+    for k, scale in enumerate(scales):
+        lo = max(0, k - width + 1)
+        if k < len(values):
+            num, d = values[k].numerator, values[k].denominator
+            if den % d:
+                grow = d // math.gcd(den, d)
+                den *= grow
+                nums[lo:] = [x * grow for x in nums[lo:]]
+            nums.append(num * (den // d))
+        hi = min(k + 1, len(nums))
+        acc = sum(map(mul, back[width - 1 - k + lo : width - 1 - k + hi], nums[lo:hi]))
+        out.append(Fraction(acc, scale * den))
+    return out
 
 
 def evaluate(p: Polynomial, x0: Scalar) -> Rational:

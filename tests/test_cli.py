@@ -285,6 +285,26 @@ def test_main_sequence_and_delta(capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequence", "--divisor", "x^2-x-1", "--kind", "s", "-n"],
+        ["sequence", "--divisor", "x^2-x-1", "--kind", "t", "-n"],
+        ["delta", "--divisor", "x^2-x-1", "--variant", "pure-closed", "-k"],
+        ["delta", "--divisor", "x^2-x-1", "--variant", "pure-flipped", "-k"],
+    ],
+    ids=["sequence-s", "sequence-t", "delta-pure-closed", "delta-pure-flipped"],
+)
+def test_counts_capped_at_degree_cap(capsys, monkeypatch, argv):
+    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "8")
+    assert cli.main(argv + ["8"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["9"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "cap 8" in out.err and "POLYDIV_MAX_DEGREE" in out.err
+
+
 def test_verify_small_dividend_trivial_agreement(capsys):
     assert cli.main(["verify", "--dividend", "x", "--divisor", "x^3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polydiv.closedform import (
     S_MONIC,
@@ -20,13 +20,31 @@ from polydiv.polycore import (
     divisor_views,
     long_divide,
 )
+from strategies import division_pairs, divisors, polys
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-polys = st.lists(rationals, max_size=8).map(Polynomial)
-divisors = st.tuples(
-    st.lists(rationals, max_size=6),
-    rationals.filter(lambda c: c != 0),
-).map(lambda t: Polynomial(list(t[0]) + [t[1]]))
+
+def paper_t_terms(g, count):
+    # The paper's general recurrence term by term in Fraction, with the
+    # sum over i running the full 1 .. r-1.
+    m = g.degree
+    c = [-g.coeff(j) for j in range(m)]
+    terms = [1 / g.lead]
+    for r in range(2, count + 1):
+        acc = Fraction(0)
+        for i in range(1, r):
+            if 0 <= m - i < m:
+                acc += c[m - i] * terms[r - i - 1]
+        terms.append(acc / g.lead)
+    return tuple(terms)
+
+
+def paper_quotient_closed(f, g):
+    n, m = f.degree, g.degree
+    t = paper_t_terms(g, n - m + 1)
+    d = [Fraction(0)] * (n - m + 1)
+    for k in range(n - m + 1):
+        d[n - m - k] = sum((t[k - j] * f.coeff(n - j) for j in range(k + 1)), Fraction(0))
+    return Polynomial(d)
 
 
 def fib_divisor_views():
@@ -92,6 +110,21 @@ def test_lead_times_t_equals_monic_s(g, count):
     t_terms = t_sequence(views, count).terms
     s_terms = s_sequence(monic_views, count).terms
     assert all(views.lead * t == s for t, s in zip(t_terms, s_terms))
+
+
+@given(divisors, st.integers(min_value=1, max_value=30))
+@settings(max_examples=60)
+def test_t_sequence_matches_paper_sum(g, count):
+    assert t_sequence(divisor_views(g), count).terms == paper_t_terms(g, count)
+
+
+@given(division_pairs(max_n=30))
+@settings(max_examples=60, deadline=None)
+def test_quotient_closed_matches_paper_sum(pair):
+    f, g = pair
+    q = quotient_closed(f, g)
+    assert q == paper_quotient_closed(f, g)
+    assert q == long_divide(f, g).quotient
 
 
 def test_quotient_closed_golden_quartic():

@@ -35,25 +35,47 @@ from polydiv.polycore import (
     DegreeTooSmall,
     Polynomial,
     divisor_views,
+    evaluate,
     long_divide,
 )
-
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-divisors = st.tuples(
-    st.lists(rationals, max_size=6),
-    rationals.filter(lambda c: c != 0),
-).map(lambda t: Polynomial(list(t[0]) + [t[1]]))
-proper_divisors = divisors.filter(lambda g: g.degree >= 1)
+from strategies import division_pairs, divisors, proper_divisors, rationals, wide_rationals
 
 
-@st.composite
-def division_pairs(draw, max_n=10):
-    g = draw(proper_divisors)
-    m = g.degree
-    n = draw(st.integers(min_value=m, max_value=max(m, max_n)))
-    tail = draw(st.lists(rationals, min_size=n, max_size=n))
-    lead = draw(rationals.filter(lambda c: c != 0))
-    return Polynomial(tail + [lead]), g
+def paper_mixed_deltas(f, g, kmax):
+    # The first-column expansion term by term in Fraction, with the band
+    # sum over p running the full 1 .. s.
+    n, m, lead = f.degree, g.degree, g.lead
+    band = [Fraction(1)]
+    for s in range(1, kmax):
+        acc = Fraction(0)
+        for p in range(1, s + 1):
+            acc += (-1) ** (p + 1) * g.coeff(m - p) * lead ** (p - 1) * band[s - p]
+        band.append(acc)
+    return [
+        sum(
+            ((-1) ** (i + 1) * f.coeff(n - i + 1) * lead ** (i - 1) * band[k - i] for i in range(1, k + 1)),
+            Fraction(0),
+        )
+        for k in range(1, kmax + 1)
+    ]
+
+
+def paper_quotient_from_dets(f, g):
+    n, m, lead = f.degree, g.degree, g.lead
+    t = n - m + 2
+    deltas = paper_mixed_deltas(f, g, t - 1)
+    return Polynomial(
+        [(-1) ** (t - j) * lead ** (j + 1 - t) * deltas[t - j - 2] for j in range(n - m + 1)]
+    )
+
+
+def paper_hessenberg_expansion(f, g, x0):
+    t = f.degree - g.degree + 2
+    deltas = paper_mixed_deltas(f, g, t - 1)
+    return sum(
+        ((-1) ** (t - i) * x0 ** (t - i) * g.lead ** (t - i) * deltas[i - 2] for i in range(2, t + 1)),
+        Fraction(0),
+    )
 
 
 GOLDEN_F = Polynomial([0, 0, 0, 0, 1])
@@ -225,11 +247,36 @@ def test_quotient_from_dets_self_division(g):
     assert quotient_from_dets(g, g) == Polynomial([1])
 
 
-@given(division_pairs())
+@given(division_pairs(max_n=30))
 @settings(max_examples=60)
 def test_quotient_from_dets_matches_oracle(pair):
     f, g = pair
     assert quotient_from_dets(f, g) == long_divide(f, g).quotient
+
+
+@given(division_pairs(max_n=30))
+@settings(max_examples=40, deadline=None)
+def test_mixed_deltas_match_paper_sums(pair):
+    f, g = pair
+    kmax = f.degree - g.degree + 1
+    expected = paper_mixed_deltas(f, g, kmax)
+    assert [delta_mixed(DeltaMixedSpec(f=f, g=g, k=k)) for k in range(1, kmax + 1)] == expected
+    q = quotient_from_dets(f, g)
+    assert q == paper_quotient_from_dets(f, g)
+    assert q == long_divide(f, g).quotient
+
+
+@given(division_pairs(max_n=30), st.one_of(rationals, wide_rationals))
+@settings(max_examples=40, deadline=None)
+def test_hessenberg_expansion_matches_paper_sum(pair, x0):
+    # det W(x0) = -det(H) * q(x0), and the Hessenberg form carries the
+    # row-reversal sign on top.
+    f, g = pair
+    t = f.degree - g.degree + 2
+    value = hessenberg_det_expansion(f, g, x0)
+    assert value == paper_hessenberg_expansion(f, g, x0)
+    quotient = long_divide(f, g).quotient
+    assert value == -anti_identity_sign(t) * hankel_det_closed(g, f.degree) * evaluate(quotient, x0)
 
 
 def test_quotient_ratio_golden():

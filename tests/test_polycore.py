@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings
 
 from polydiv.polycore import (
     DivisionResult,
@@ -13,14 +13,9 @@ from polydiv.polycore import (
     long_divide,
     monic_reduction,
 )
+from strategies import divisors, polys, rationals, wide_divisors, wide_polys, wide_rationals
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-polys = st.lists(rationals, max_size=8).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
-divisors = st.tuples(
-    st.lists(rationals, max_size=6),
-    rationals.filter(lambda c: c != 0),
-).map(lambda t: Polynomial(list(t[0]) + [t[1]]))
 
 
 def test_normalize_strips_trailing_zeros():
@@ -123,6 +118,23 @@ def test_division_result_unique(f, g):
     )
     assert g * other.quotient + other.remainder == f
     assert not other.reconstructs(f, g)
+
+
+@given(wide_polys, wide_divisors, wide_rationals.filter(lambda c: c != 0))
+@settings(max_examples=30)
+def test_reconstructs_rejects_any_single_change(f, g, change):
+    # Every quotient coefficient, the lowest included (where the running
+    # denominator of the check is largest), and every remainder slot
+    # below deg g, each moved alone by one nonzero rational.
+    result = long_divide(f, g)
+    q = list(result.quotient.coeffs) or [Fraction(0)]
+    r = list(result.remainder.coeffs) + [Fraction(0)] * (max(g.degree, 1) - len(result.remainder.coeffs))
+    for i in range(len(q)):
+        moved = Polynomial(q[:i] + [q[i] + change] + q[i + 1:])
+        assert not DivisionResult(moved, result.remainder).reconstructs(f, g)
+    for i in range(len(r)):
+        moved = Polynomial(r[:i] + [r[i] + change] + r[i + 1:])
+        assert not DivisionResult(result.quotient, moved).reconstructs(f, g)
 
 
 def test_monic_reduction_examples():
