@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable
 
 from .polycore import (
@@ -23,6 +22,7 @@ from .polycore import (
     _clear_denominators,
     _convolve,
     _powers,
+    _recurrence,
     divisor_views,
 )
 
@@ -58,18 +58,10 @@ def s_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
     """
     if count < 1:
         raise DegreeTooSmall("a sequence needs at least one term")
-    m = views.degree
-    # gamma(m - i) for i = m .. 1; the terms with i > m vanish.
-    back = [-b for b in views.monic_tail]
-    terms = [Fraction(1)]
-    for r in range(2, count + 1):
-        width = min(r - 1, m)
-        acc = Fraction(0)
-        for gamma, prev in zip(back[m - width:], terms[r - 1 - width:]):
-            if gamma != 0:
-                acc += gamma * prev
-        terms.append(acc)
-    return RecurrentSequence(kind=S_MONIC, terms=tuple(terms))
+    # s_r = lead * t_r, and lead = L/D turns t_r = D * T_r / L^r into
+    # s_r = T_r / L^(r-1).
+    _, lead, terms = _general_terms(views, count)
+    return RecurrentSequence(kind=S_MONIC, terms=tuple(map(Fraction, terms, _powers(lead, count))))
 
 
 def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]]:
@@ -82,11 +74,7 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     m = len(ints)
     # c'(m - i) * L^(i-1) for i = m .. 1.
     back = [c * p for c, p in zip(ints, _powers(lead, m)[::-1])]
-    terms = [1]
-    for r in range(2, count + 1):
-        width = min(r - 1, m)
-        terms.append(sum(map(mul, back[m - width:], terms[r - 1 - width:])))
-    return den, lead, terms
+    return den, lead, _recurrence(back, count)
 
 
 def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
@@ -150,16 +138,9 @@ def remainder_closed(f: Polynomial, g: Polynomial, q: Polynomial) -> Polynomial:
     divide_with guards that pairing.
     """
     views = divisor_views(g)
-    m = views.degree
-    r = []
-    for k in range(m):
-        acc = f.coeff(k)
-        for i in range(k + 1):
-            ci = views.c(i)
-            if ci != 0:
-                acc += ci * q.coeff(k - i)
-        r.append(acc)
-    return Polynomial(r)
+    den, tail = _clear_denominators(views.negated_tail)
+    low = _convolve(tail, q.coeffs, [den] * views.degree)
+    return Polynomial([f.coeff(k) + s for k, s in enumerate(low)])
 
 
 def divide_with(

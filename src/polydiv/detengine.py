@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .closedform import divide_with, t_sequence
@@ -35,7 +34,9 @@ from .polycore import (
     _coerce,
     _convolve,
     _powers,
+    _recurrence,
     divisor_views,
+    evaluate,
 )
 
 # Hard ceiling on constructed matrix orders. Exact determinants blow up
@@ -375,10 +376,7 @@ def _mixed_delta_parts(
         (ints[m - p] if p % 2 == 1 else -ints[m - p]) * powers[p - 1]
         for p in range(width, 0, -1)
     ]
-    band = [1]
-    for s in range(1, kmax):
-        w = min(s, m)
-        band.append(sum(map(mul, back[width - w:], band[s - w:])))
+    band = _recurrence(back, kmax)
     values = [
         f.coeff(n - j) * (powers[j] if j % 2 == 0 else -powers[j]) for j in range(kmax)
     ]
@@ -478,14 +476,9 @@ def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
-    x0 = _coerce(x0)
-    lead = g.lead
+    # Reversed, the deltas are the coefficients of a polynomial in -x0 * lead.
     deltas = _mixed_deltas(f, g, t - 1)
-    acc = Fraction(0)
-    for i in range(2, t + 1):
-        term = (x0 * lead) ** (t - i) * deltas[i - 2]
-        acc += term if (t - i) % 2 == 0 else -term
-    return acc
+    return evaluate(Polynomial(deltas[::-1]), -_coerce(x0) * g.lead)
 
 
 @dataclass(frozen=True)

@@ -116,13 +116,13 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            # Descending from the leading coefficients, where the
+            # denominators of a quotient nest; the shorter factor is
+            # cleared once and its denominator divided back out.
+            short, long_ = sorted((self.coeffs, other.coeffs), key=len)
+            den, weights = _clear_denominators(short[::-1])
+            count = len(short) + len(long_) - 1
+            return Polynomial(_convolve(weights, long_[::-1], [den] * count)[::-1])
         return Polynomial([c * _coerce(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -189,16 +189,7 @@ class DivisionResult:
     def reconstructs(self, dividend: Polynomial, divisor: Polynomial) -> bool:
         """Check divisor * quotient + remainder == dividend exactly, along
         with the degree bound on the remainder."""
-        product = Polynomial()
-        if divisor and self.quotient:
-            # Descending from the quotient's leading coefficient, where
-            # the denominators of a true quotient nest; the divisor is
-            # cleared once and its denominator divided back out.
-            den, weights = _clear_denominators(divisor.coeffs[::-1])
-            count = len(weights) + len(self.quotient.coeffs) - 1
-            top = _convolve(weights, self.quotient.coeffs[::-1], [den] * count)
-            product = Polynomial(top[::-1])
-        if product + self.remainder != dividend:
+        if divisor * self.quotient + self.remainder != dividend:
             return False
         if self.remainder.is_zero:
             return True
@@ -254,6 +245,17 @@ def _convolve(
         acc = sum(map(mul, back[width - 1 - k + lo : width - 1 - k + hi], nums[lo:hi]))
         out.append(Fraction(acc, scale * den))
     return out
+
+
+def _recurrence(back: Sequence[int], count: int) -> list[int]:
+    """u_0 .. u_(count-1) of u_0 = 1, u_s = sum of back[-i] * u_(s-i)
+    over i = 1 .. min(s, len(back)): the last weight meets the newest term."""
+    width = len(back)
+    out = [1]
+    for s in range(1, count):
+        w = min(s, width)
+        out.append(sum(map(mul, back[width - w:], out[s - w:])))
+    return out[:count]
 
 
 def evaluate(p: Polynomial, x0: Scalar) -> Rational:

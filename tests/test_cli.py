@@ -106,6 +106,27 @@ def test_coefficient_bit_cap():
         parse_polynomial(f"[{huge}]")
 
 
+@pytest.mark.parametrize(
+    "dividend, column",
+    [("{run}x + 1", 1), ("x^{run}", 3), ("1/{run}x", 3), ("[1, {run}]", 5)],
+    ids=["coefficient", "exponent", "denominator", "list-entry"],
+)
+def test_long_digit_run_is_refused(capsys, dividend, column):
+    # 5000 digits is past CPython's default int-to-str limit of 4300.
+    argv = ["divide", "--dividend", dividend.format(run="9" * 5000), "--divisor", "x-1"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"column {column}: digit run of 5000 digits, cap is {cli.MAX_DIGITS}" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_digit_cap_covers_every_value_within_bit_cap():
+    widest = 2 ** cli.MAX_COEFF_BITS - 1
+    assert len(str(widest)) == cli.MAX_DIGITS
+    assert parse_polynomial(str(widest)) == Polynomial([widest])
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter has no int-to-str digit limit",
@@ -311,3 +332,40 @@ def test_verify_small_dividend_trivial_agreement(capsys):
     assert payload["quotient"] == []
     assert payload["remainder"] == ["0", "1"]
     assert all(payload["agreement"].values())
+
+
+CAPPED_VERIFY = ["verify", "--dividend", "x^80 + 3x + 1", "--divisor", "x^2 - x - 1"]
+
+
+def test_verify_skips_route_past_matrix_cap(capsys):
+    # det-ratio needs a matrix of order 79 here, past its cap of 64.
+    assert cli.main(CAPPED_VERIFY + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agreement"] == {"longdiv": True, "closed": True, "det-formula": True}
+    assert payload["skipped"] == {"det-ratio": "matrix order 79 exceeds the cap 64"}
+    assert cli.main(CAPPED_VERIFY) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "agreement: longdiv=yes closed=yes det-formula=yes"
+    assert lines[-1] == "skipped: det-ratio (matrix order 79 exceeds the cap 64)"
+
+
+def test_verify_text_without_skips(capsys):
+    assert cli.main(["verify", "--dividend", "x^4", "--divisor", "x^2-x-1"]) == 0
+    assert capsys.readouterr().out == (
+        "quotient: x^2 + x + 2\nremainder: 3x + 2\n"
+        "agreement: longdiv=yes closed=yes det-formula=yes det-ratio=yes\n"
+    )
+
+
+def test_verify_mismatch_while_route_skipped(capsys, monkeypatch):
+    def corrupted(f, g):
+        good = cli.METHODS["longdiv"](f, g)
+        return DivisionResult(
+            quotient=good.quotient + Polynomial([1]), remainder=good.remainder
+        )
+
+    monkeypatch.setitem(cli.METHODS, "det-formula", corrupted)
+    assert cli.main(CAPPED_VERIFY) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "mismatch" in out.err and "det-formula" in out.err

@@ -67,6 +67,13 @@ def test_s_sequence_zero_tail():
     assert s_sequence(views, 4).terms == tuple(Fraction(v) for v in (1, 0, 0, 0))
 
 
+def test_s_sequence_reads_the_monic_tail():
+    # x^2 - x/3 - 1/2 and 2x - 6: rational tail, then a lead other than 1.
+    views = divisor_views(Polynomial([Fraction(-1, 2), Fraction(-1, 3), 1]))
+    assert s_sequence(views, 3).terms == (1, Fraction(1, 3), Fraction(11, 18))
+    assert s_sequence(divisor_views(Polynomial([-6, 2])), 3).terms == (1, 3, 9)
+
+
 def test_t_sequence_collapses_when_monic():
     views = fib_divisor_views()
     seq = t_sequence(views, 5)
