@@ -73,7 +73,8 @@ class ExactMatrix:
     rows: tuple[tuple[Rational, ...], ...]
 
     def __init__(self, rows: Iterable[Sequence]):
-        grid = tuple(tuple(_coerce(v) for v in row) for row in rows)
+        # Lists, not generators: resized tuples refill the tuple free lists.
+        grid = tuple([tuple([_coerce(v) for v in row]) for row in rows])
         if not grid:
             raise IndexOutOfRange("a matrix needs at least one row")
         if any(len(row) != len(grid) for row in grid):
@@ -150,7 +151,7 @@ def _det_bareiss(rows: tuple[tuple[Rational, ...], ...]) -> Rational:
     scale = 1
     grid = []
     for row in rows:
-        lcm = math.lcm(*(v.denominator for v in row))
+        lcm = math.lcm(*[v.denominator for v in row])
         scale *= lcm
         grid.append([int(v * lcm) for v in row])
 
@@ -278,8 +279,8 @@ def build_bordered(
 def det_W_at(f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER) -> Rational:
     """Exact determinant of the bordered matrix W evaluated at x0.
 
-    As a function of x0 this is -det(H) times the quotient of f by g,
-    which is what quotient_ratio exploits.
+    As a function of x0 this is -det(H) times the quotient of f by g;
+    quotient_ratio reads that quotient off the cofactors of W's last row.
     """
     return det_oracle(build_bordered(f, g, x0, max_order=max_order))
 
@@ -418,51 +419,34 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(d[::-1])
 
 
-def _interpolation_nodes(count: int) -> list[Rational]:
-    # 0, 1, -1, 2, -2, ...: fixed and distinct, so reproducible and
-    # collision-free regardless of the divisor.
-    nodes = [Fraction(0)]
-    step = 1
-    while len(nodes) < count:
-        nodes.append(Fraction(step))
-        if len(nodes) < count:
-            nodes.append(Fraction(-step))
-        step += 1
-    return nodes[:count]
-
-
-def _interpolate(points: list[tuple[Rational, Rational]]) -> Polynomial:
-    # Lagrange basis accumulation over exact rationals: lossless.
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = Polynomial([1])
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = basis * Polynomial([-xj, 1])
-                denom *= xi - xj
-        total = total + basis * (yi / denom)
-    return total
-
-
 def quotient_ratio(
     f: Polynomial, g: Polynomial, max_order: int = DEFAULT_MAX_ORDER
 ) -> Polynomial:
     """Quotient recovered from the ratio -det(W at x) / det(H).
 
-    The ratio is evaluated at n - m + 1 fixed nodes and interpolated.
-    The quotient has degree n - m, so that many exact samples determine
-    it; det(H) comes from the oracle, keeping this route free of any
-    closed formula.
+    det W is linear in W's last row x^(n-m), ..., x, 1, 0, so expanding
+    along that row reads the quotient off its cofactors (Cramer's rule on
+    the Hankel system). With t = n - m + 2 and M_j the t - 1 rows above
+    it with column j struck out,
+
+        d_(n-m-j) = (-1)^(t-j) * det(M_j) / det(H)
+
+    for j = 0 .. t-2. Striking the dividend column (j = t-1) leaves H
+    itself. Every determinant comes from the oracle, keeping this route
+    free of any closed formula.
     """
     n, m = _require_division_shape(f, g)
-    det_h = det_oracle(build_hankel(g, n, max_order=max_order))
-    points = []
-    for x0 in _interpolation_nodes(n - m + 1):
-        points.append((x0, -det_W_at(f, g, x0, max_order=max_order) / det_h))
-    return _interpolate(points)
+    t = n - m + 2
+    # H before W, so a refusal names the smaller matrix past the cap.
+    _check_order(t - 1, max_order)
+    rows = build_bordered(f, g, 0, max_order=max_order).rows[:-1]
+    minors = [
+        det_oracle(ExactMatrix([row[:j] + row[j + 1:] for row in rows]))
+        for j in range(t)
+    ]
+    det_h = minors.pop()
+    d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
+    return Polynomial(d[::-1])
 
 
 def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:

@@ -293,11 +293,14 @@ def test_quotient_ratio_cubic():
     assert q == Polynomial([1, 1, 1])
 
 
-@given(division_pairs(max_n=8))
+@given(division_pairs(max_n=8), rationals)
 @settings(max_examples=40, deadline=None)
-def test_quotient_ratio_matches_oracle(pair):
+def test_quotient_ratio_matches_oracle(pair, x0):
     f, g = pair
-    assert quotient_ratio(f, g) == long_divide(f, g).quotient
+    q = quotient_ratio(f, g)
+    assert q == long_divide(f, g).quotient
+    # The ratio identity itself, at a point: q(x0) * det(H) = -det W(x0).
+    assert evaluate(q, x0) * det_oracle(build_hankel(g, f.degree)) == -det_W_at(f, g, x0)
 
 
 def test_hessenberg_expansion_goldens():
@@ -420,6 +423,11 @@ def test_matrix_order_cap():
         build_hankel(Polynomial([0, 1]), 80)
     with pytest.raises(MatrixTooLarge):
         quotient_ratio(Polynomial([0] * 9 + [1]), Polynomial([0, 1]), max_order=5)
+    # H for x^5 / x has order 5 and fits; W has order 6 and does not.
+    with pytest.raises(MatrixTooLarge):
+        quotient_ratio(Polynomial([0] * 5 + [1]), Polynomial([0, 1]), max_order=5)
+    q = quotient_ratio(Polynomial([0] * 4 + [1]), Polynomial([0, 1]), max_order=5)
+    assert q == Polynomial([0] * 3 + [1])
     assert build_anti_identity(65, max_order=65).order == 65
 
 
