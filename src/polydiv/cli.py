@@ -361,9 +361,12 @@ def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
         else:
             part, got, want = "remainder", result.remainder, reference.remainder
         i, got_c, want_c = _first_difference(got, want)
+        try:
+            values = f"is {_exact_str(got_c)}, expected {_exact_str(want_c)}"
+        except OutputTooLarge as exc:
+            values = f"differs, and {exc}"
         raise Mismatch(
-            f"method {tag} disagrees with longdiv: {part} coefficient of "
-            f"x^{i} is {got_c}, expected {want_c}"
+            f"method {tag} disagrees with longdiv: {part} coefficient of x^{i} {values}"
         )
     return _build_report(dividend, divisor, "longdiv", f, g, reference, agreement, skipped)
 

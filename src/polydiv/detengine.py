@@ -12,11 +12,12 @@ sum over the general recurrent sequence.
 
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
-the formulas it checks.
+the formulas it checks. Above order 4 it runs maximal_minors, one
+fraction-free elimination that yields every maximal minor of an
+r-by-(r+1) matrix at once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -142,49 +143,72 @@ def _det_cofactor(rows: tuple[tuple[Rational, ...], ...]) -> Rational:
     return total
 
 
-def _det_bareiss(rows: tuple[tuple[Rational, ...], ...]) -> Rational:
-    # Fraction-free elimination over the integers: each row is cleared
-    # of denominators first and the accumulated scale divided back out
-    # at the end. All intermediate divisions in the Bareiss update are
-    # exact by construction.
-    size = len(rows)
-    scale = 1
-    grid = []
-    for row in rows:
-        lcm = math.lcm(*[v.denominator for v in row])
-        scale *= lcm
-        grid.append([int(v * lcm) for v in row])
-
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if grid[k][k] == 0:
-            for r in range(k + 1, size):
-                if grid[r][k] != 0:
-                    grid[k], grid[r] = grid[r], grid[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                grid[i][j] = (
-                    grid[i][j] * grid[k][k] - grid[i][k] * grid[k][j]
-                ) // prev
-        prev = grid[k][k]
-    return Fraction(sign * grid[-1][-1], scale)
-
-
 def det_oracle(matrix: ExactMatrix) -> Rational:
     """Exact determinant by brute force, independent of every closed form.
 
     Orders up to 4 use first-row cofactor expansion, matching the hand
-    calculations the golden values came from. Larger orders switch to
-    fraction-free elimination, which stays exact over the integers.
+    calculations the golden values came from. Larger orders take the
+    last maximal minor of the matrix bordered by a zero column, whose
+    fraction-free elimination stays exact over the integers.
     """
     if matrix.order <= 4:
         return _det_cofactor(matrix.rows)
-    return _det_bareiss(matrix.rows)
+    return maximal_minors([row + (0,) for row in matrix.rows])[-1]
+
+
+def maximal_minors(rows: Sequence[Sequence]) -> list[Rational]:
+    """The r + 1 maximal minors of an r-by-(r+1) matrix: entry j is the
+    determinant of the matrix with column j struck out.
+
+    One fraction-free Gauss-Jordan pass over the rows cleared to
+    integers (Bareiss 1968; Nakos, Turner and Williams 1997) keeps every
+    entry a minor, so every division is exact. Pivots are searched over
+    the columns not yet used, in order, so they ascend and leave one
+    free column, or run out when the rank is below r and every minor is
+    0. The last pivot is the minor striking the free column; each free
+    entry is a Cramer numerator, the minor with the free column in place
+    of its row's pivot column.
+    """
+    size = len(rows)
+    if size < 1 or any(len(row) != size + 1 for row in rows):
+        raise IndexOutOfRange("maximal minors need an r-by-(r+1) matrix, r >= 1")
+    # The product of the row multipliers scales every maximal minor.
+    scale = 1
+    grid = []
+    for row in rows:
+        den, ints = _clear_denominators([_coerce(v) for v in row])
+        scale *= den
+        grid.append(ints)
+    unused = list(range(size + 1))
+    sign = prev = 1
+    for k in range(size):
+        # The first unused column with a nonzero entry in row k or below;
+        # that entry's row swaps up to row k.
+        found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
+        if found is None:
+            return [Fraction(0)] * (size + 1)
+        col, r = found
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        unused.remove(col)
+        top = grid[k]
+        pivot = top[col]
+        for i, row in enumerate(grid):
+            if i != k:
+                factor = row[col]
+                for j in unused:
+                    row[j] = (row[j] * pivot - factor * top[j]) // prev
+        prev = pivot
+    (free,) = unused
+    # Column j pivots in row j below the free column and row j - 1 above
+    # it; moving the free column into its place takes |free - j| - 1
+    # adjacent swaps.
+    signed = [
+        prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free]
+        for j in range(size + 1)
+    ]
+    return [Fraction(sign * value, scale) for value in signed]
 
 
 def anti_identity_sign(t: int) -> Rational:
@@ -279,8 +303,9 @@ def build_bordered(
 def det_W_at(f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER) -> Rational:
     """Exact determinant of the bordered matrix W evaluated at x0.
 
-    As a function of x0 this is -det(H) times the quotient of f by g;
-    quotient_ratio reads that quotient off the cofactors of W's last row.
+    As a function of x0 this is -det(H) times the quotient of f by g.
+    quotient_ratio reads that quotient off the cofactors of W's last row,
+    taking them all from maximal_minors in place of evaluating W.
     """
     return det_oracle(build_bordered(f, g, x0, max_order=max_order))
 
@@ -432,18 +457,15 @@ def quotient_ratio(
         d_(n-m-j) = (-1)^(t-j) * det(M_j) / det(H)
 
     for j = 0 .. t-2. Striking the dividend column (j = t-1) leaves H
-    itself. Every determinant comes from the oracle, keeping this route
-    free of any closed formula.
+    itself. One maximal_minors elimination of those t - 1 rows gives all
+    t minors at once, det(H) among them, and keeps this route free of any
+    closed formula.
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
     # H before W, so a refusal names the smaller matrix past the cap.
     _check_order(t - 1, max_order)
-    rows = build_bordered(f, g, 0, max_order=max_order).rows[:-1]
-    minors = [
-        det_oracle(ExactMatrix([row[:j] + row[j + 1:] for row in rows]))
-        for j in range(t)
-    ]
+    minors = maximal_minors(build_bordered(f, g, 0, max_order=max_order).rows[:-1])
     det_h = minors.pop()
     d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
     return Polynomial(d[::-1])

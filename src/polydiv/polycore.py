@@ -200,7 +200,9 @@ class DivisionResult:
 
 def _clear_denominators(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """The least common denominator D of the values and the integers D*v."""
-    den = math.lcm(*(v.denominator for v in values))
+    # A list: unpacking a generator builds a resized tuple, and freed
+    # resized tuples pile up on the tuple free lists.
+    den = math.lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 

@@ -296,7 +296,32 @@ def test_main_mismatch_exit(capsys, monkeypatch):
     assert cli.main(["verify", "--dividend", "x^4", "--divisor", "x^2-x-1"]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert "mismatch" in out.err and "closed" in out.err
+    assert out.err == (
+        "mismatch: method closed disagrees with longdiv: remainder coefficient of x^0 is 3, expected 2\n"
+    )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int-to-str digit limit",
+)
+def test_main_mismatch_exit_with_unprintable_value(capsys, monkeypatch):
+    # The quotient's constant term is 1/(3^700)^20, about 6680 digits.
+    def corrupted(f, g):
+        good = cli.METHODS["longdiv"](f, g)
+        return DivisionResult(
+            quotient=good.quotient + Polynomial([1]), remainder=good.remainder
+        )
+
+    monkeypatch.setitem(cli.METHODS, "closed", corrupted)
+    argv = ["verify", "--dividend", "x^20", "--divisor", f"{3 ** 700}x - 1"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        "mismatch: method closed disagrees with longdiv: quotient coefficient of x^0 differs"
+    )
+    assert str(sys.get_int_max_str_digits()) in out.err
 
 
 def test_main_sequence_and_delta(capsys):

@@ -25,6 +25,7 @@ from polydiv.detengine import (
     divide_det_ratio,
     hankel_det_closed,
     hessenberg_det_expansion,
+    maximal_minors,
     mixed_delta_matrix,
     pure_delta_matrix,
     quotient_from_dets,
@@ -107,6 +108,56 @@ def test_det_oracle_routes_agree_above_cofactor_cutoff(rows):
     # independent cross-check here.
     matrix = ExactMatrix(rows)
     assert det_oracle(matrix) == _det_cofactor(matrix.rows)
+
+
+@st.composite
+def r_by_r1_matrices(draw):
+    # r-by-(r+1), one coefficient family per matrix. Entries from
+    # -1, 0, 1 make singular left blocks and rank below r common.
+    coeffs = draw(st.sampled_from((rationals, wide_rationals, st.integers(-1, 1).map(Fraction))))
+    r = draw(st.integers(min_value=1, max_value=6))
+    return draw(st.lists(st.lists(coeffs, min_size=r + 1, max_size=r + 1), min_size=r, max_size=r))
+
+
+def struck_minors(rows):
+    return [det_oracle(ExactMatrix([row[:j] + row[j + 1:] for row in rows])) for j in range(len(rows) + 1)]
+
+
+@given(r_by_r1_matrices())
+@settings(max_examples=80, deadline=None)
+def test_maximal_minors_match_oracle(rows):
+    # Struck minors up to order 4 come from cofactor expansion, which
+    # shares no code with the elimination.
+    assert maximal_minors(rows) == struck_minors(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # A zero in the first pivot position: rows 0 and 1 swap.
+        ([[0, 1, 2], [3, 4, 5]], [-3, -6, -3]),
+        ([[0, 0, 1, 2], [0, 1, 0, 3], [1, 0, 0, 4]], [-4, 3, -2, -1]),
+        # Singular left block: column 1 is twice column 0, so the free
+        # column is 1 and only the minor keeping both is 0.
+        ([[1, 2, 3], [2, 4, 5]], [-2, -1, 0]),
+        # Rank 2 < r = 3: every minor is 0.
+        ([[1, 2, 3, 4], [2, 3, 4, 5], [3, 5, 7, 9]], [0, 0, 0, 0]),
+        ([[0, 0, 0], [1, 2, 3]], [0, 0, 0]),
+        # r = 1: striking one entry leaves the other.
+        ([[5, Fraction(-7, 3)]], [Fraction(-7, 3), 5]),
+        ([[0, 0]], [0, 0]),
+    ],
+)
+def test_maximal_minors_hand_cases(rows, expected):
+    assert maximal_minors(rows) == expected == struck_minors(rows)
+
+
+def test_maximal_minors_rejects_bad_shapes():
+    for rows in ([], [[1, 2]] * 2, [[1, 2, 3]], [[1, 2, 3], [4, 5]]):
+        with pytest.raises(IndexOutOfRange):
+            maximal_minors(rows)
+    with pytest.raises(TypeError):
+        maximal_minors([[0.5, 1]])
 
 
 def test_exact_matrix_rejects_ragged_and_empty():
