@@ -13,11 +13,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import closedform
-from .closedform import divide_closed, s_sequence, t_sequence
+from .closedform import S_MONIC, T_GENERAL, divide_closed, s_sequence, t_sequence
 from .detengine import (
     DeltaPureSpec,
     MatrixTooLarge,
@@ -107,21 +106,30 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
+def _rational(match: re.Match, column: int) -> Fraction:
+    # The num and optional den groups shared by both syntaxes.
+    den = int(match.group("den") or 1)
+    if den == 0:
+        raise ParseError("zero denominator", column)
+    return Fraction(int(match.group("num")), den)
+
+
 def _parse_list(text: str) -> Polynomial:
     # Ascending coefficient-list syntax: "[1/2, -2, 0, 0, 3]".
-    stripped = text.rstrip()
-    if not stripped.endswith("]"):
-        raise ParseError("unterminated coefficient list", column=len(text))
     open_at = text.index("[")
-    inner = stripped[open_at + 1 : len(stripped) - 1]
+    close_at = text.find("]", open_at)
+    if close_at < 0:
+        raise ParseError("unterminated coefficient list", column=len(text))
+    after = _skip_ws(text, close_at + 1)
+    if after < len(text):
+        raise ParseError("unexpected text after the coefficient list", column=after + 1)
+    inner = text[open_at + 1 : close_at]
     if not inner.strip():
         return Polynomial()
     entries = inner.split(",")
-    if len(entries) - 1 > _max_degree():
-        raise LimitExceeded(
-            f"coefficient list implies degree {len(entries) - 1}, "
-            f"cap is {_max_degree()}"
-        )
+    cap = _max_degree()
+    if len(entries) - 1 > cap:
+        raise LimitExceeded(f"coefficient list implies degree {len(entries) - 1}, cap is {cap}")
     coeffs = []
     offset = open_at + 1
     for entry in entries:
@@ -134,11 +142,7 @@ def _parse_list(text: str) -> Polynomial:
         match = _RATIONAL_RE.fullmatch(body)
         if not match:
             raise ParseError(f"bad list entry {entry.strip()!r}", column)
-        den = int(match.group("den")) if match.group("den") else 1
-        if den == 0:
-            raise ParseError("zero denominator", column)
-        value = Fraction(sign * int(match.group("num")), den)
-        coeffs.append(_check_coefficient(value, column))
+        coeffs.append(_check_coefficient(sign * _rational(match, column), column))
         offset += len(entry) + 1
     return Polynomial(coeffs)
 
@@ -176,13 +180,7 @@ def parse_polynomial(text: str) -> Polynomial:
         if match is None or match.end() == pos:
             raise ParseError("expected a term", column=pos + 1)
         column = pos + 1
-        if match.group("num") is not None:
-            den = int(match.group("den")) if match.group("den") else 1
-            if den == 0:
-                raise ParseError("zero denominator", column)
-            coeff = Fraction(int(match.group("num")), den)
-        else:
-            coeff = Fraction(1)
+        coeff = Fraction(1) if match.group("num") is None else _rational(match, column)
         if match.group("var") is not None:
             exp = int(match.group("exp")) if match.group("exp") else 1
             if exp < 0:
@@ -243,18 +241,24 @@ def _coeff_strings(p: Polynomial) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DivisionReport:
-    """One division outcome, serialization-ready: every scalar is an
-    exact "num/den" or "num" string, coefficient arrays ascending.
-    ``result`` holds the polynomials the text form is rendered from."""
+    """One division outcome. ``quotient`` and ``remainder`` give its
+    coefficients ascending, each an exact "num/den" or "num" string,
+    derived from ``result`` when read."""
 
     dividend: str
     divisor: str
     method: str
-    quotient: tuple[str, ...]
-    remainder: tuple[str, ...]
+    result: DivisionResult
     agreement: dict[str, bool] | None = None
     skipped: dict[str, str] | None = None
-    result: DivisionResult = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def quotient(self) -> tuple[str, ...]:
+        return _coeff_strings(self.result.quotient)
+
+    @property
+    def remainder(self) -> tuple[str, ...]:
+        return _coeff_strings(self.result.remainder)
 
     def to_json(self) -> str:
         payload = {
@@ -295,46 +299,29 @@ METHODS = {
     "det-ratio": divide_det_ratio,
 }
 
-_DELTA_VARIANTS = ("pure-direct", "pure-closed", "pure-flipped")
+# One table per subcommand: each gives argparse its choices and the
+# command its lookup.
+DELTAS = {
+    "pure-direct": delta_pure_direct,
+    "pure-closed": delta_pure_closed,
+    "pure-flipped": functools.partial(delta_pure_closed, flipped=True),
+}
+SEQUENCES = {S_MONIC: s_sequence, T_GENERAL: t_sequence}
 
 
-def _build_report(
-    dividend_text: str,
-    divisor_text: str,
-    method: str,
-    f: Polynomial,
-    g: Polynomial,
-    result: DivisionResult,
-    agreement: dict[str, bool] | None = None,
-    skipped: dict[str, str] | None = None,
-) -> DivisionReport:
+def _reconstructed(
+    method: str, f: Polynomial, g: Polynomial, result: DivisionResult
+) -> DivisionResult:
     if not result.reconstructs(f, g):
         raise Mismatch(f"method {method} fails to reconstruct the dividend")
-    return DivisionReport(
-        dividend=dividend_text,
-        divisor=divisor_text,
-        method=method,
-        quotient=_coeff_strings(result.quotient),
-        remainder=_coeff_strings(result.remainder),
-        agreement=agreement,
-        skipped=skipped,
-        result=result,
-    )
+    return result
 
 
 def cmd_divide(dividend: str, divisor: str, method: str = "longdiv") -> DivisionReport:
     f = parse_polynomial(dividend)
     g = parse_polynomial(divisor)
-    result = METHODS[method](f, g)
-    return _build_report(dividend, divisor, method, f, g, result)
-
-
-def _first_difference(a: Polynomial, b: Polynomial) -> tuple[int, Fraction, Fraction]:
-    width = max(len(a.coeffs), len(b.coeffs))
-    for i in range(width):
-        if a.coeff(i) != b.coeff(i):
-            return i, a.coeff(i), b.coeff(i)
-    raise ValueError("polynomials are equal")
+    result = _reconstructed(method, f, g, METHODS[method](f, g))
+    return DivisionReport(dividend, divisor, method, result)
 
 
 def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
@@ -360,15 +347,16 @@ def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
             part, got, want = "quotient", result.quotient, reference.quotient
         else:
             part, got, want = "remainder", result.remainder, reference.remainder
-        i, got_c, want_c = _first_difference(got, want)
+        i = next(i for i, c in enumerate((got - want).coeffs) if c)
         try:
-            values = f"is {_exact_str(got_c)}, expected {_exact_str(want_c)}"
+            values = f"is {_exact_str(got.coeff(i))}, expected {_exact_str(want.coeff(i))}"
         except OutputTooLarge as exc:
             values = f"differs, and {exc}"
         raise Mismatch(
             f"method {tag} disagrees with longdiv: {part} coefficient of x^{i} {values}"
         )
-    return _build_report(dividend, divisor, "longdiv", f, g, reference, agreement, skipped)
+    reference = _reconstructed("longdiv", f, g, reference)
+    return DivisionReport(dividend, divisor, "longdiv", reference, agreement, skipped)
 
 
 def _check_count(flag: str, count: int) -> None:
@@ -382,29 +370,18 @@ def _check_count(flag: str, count: int) -> None:
 
 def cmd_delta(divisor: str, k: int, variant: str) -> str:
     _check_count("-k", k)
-    views = divisor_views(parse_polynomial(divisor))
-    spec = DeltaPureSpec(views=views, k=k)
-    if variant == "pure-direct":
-        value = delta_pure_direct(spec)
-    elif variant == "pure-closed":
-        value = delta_pure_closed(spec)
-    elif variant == "pure-flipped":
-        value = delta_pure_closed(spec, flipped=True)
-    else:
+    spec = DeltaPureSpec(views=divisor_views(parse_polynomial(divisor)), k=k)
+    if variant not in DELTAS:
         raise ParseError(f"unknown delta variant {variant!r}")
-    return _exact_str(value)
+    return _exact_str(DELTAS[variant](spec))
 
 
 def cmd_sequence(divisor: str, kind: str, count: int) -> str:
     _check_count("-n", count)
     views = divisor_views(parse_polynomial(divisor))
-    if kind == closedform.S_MONIC:
-        seq = s_sequence(views, count)
-    elif kind == closedform.T_GENERAL:
-        seq = t_sequence(views, count)
-    else:
+    if kind not in SEQUENCES:
         raise ParseError(f"unknown sequence kind {kind!r}")
-    return ", ".join(_exact_str(term) for term in seq.terms)
+    return ", ".join(_exact_str(term) for term in SEQUENCES[kind](views, count).terms)
 
 
 def _handle_report(args: argparse.Namespace) -> str:
@@ -413,14 +390,6 @@ def _handle_report(args: argparse.Namespace) -> str:
     else:
         report = cmd_divide(args.dividend, args.divisor, args.method)
     return report.to_json() if args.format == "json" else report.to_text()
-
-
-def _handle_delta(args: argparse.Namespace) -> str:
-    return cmd_delta(args.divisor, args.k, args.variant)
-
-
-def _handle_sequence(args: argparse.Namespace) -> str:
-    return cmd_sequence(args.divisor, args.kind, args.count)
 
 
 # Built once per process; parse_args leaves the parser as it was.
@@ -448,14 +417,14 @@ def _parser() -> argparse.ArgumentParser:
     delta = sub.add_parser("delta", help="tail determinant of one divisor")
     delta.add_argument("--divisor", required=True)
     delta.add_argument("-k", type=int, required=True)
-    delta.add_argument("--variant", choices=_DELTA_VARIANTS, default="pure-closed")
-    delta.set_defaults(handler=_handle_delta)
+    delta.add_argument("--variant", choices=tuple(DELTAS), default="pure-closed")
+    delta.set_defaults(handler=lambda args: cmd_delta(args.divisor, args.k, args.variant))
 
     sequence = sub.add_parser("sequence", help="terms of a divisor recurrence")
     sequence.add_argument("--divisor", required=True)
-    sequence.add_argument("--kind", choices=(closedform.S_MONIC, closedform.T_GENERAL), required=True)
+    sequence.add_argument("--kind", choices=tuple(SEQUENCES), required=True)
     sequence.add_argument("-n", dest="count", type=int, required=True)
-    sequence.set_defaults(handler=_handle_sequence)
+    sequence.set_defaults(handler=lambda args: cmd_sequence(args.divisor, args.kind, args.count))
 
     return parser
 

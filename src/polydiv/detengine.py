@@ -42,8 +42,7 @@ from .polycore import (
 
 # Hard ceiling on constructed matrix orders. Exact determinants blow up
 # combinatorially in entry size; past desk scale the right response is a
-# loud error, not a silent stall. Every builder takes a max_order
-# override for callers that know better.
+# loud error, not a silent stall.
 DEFAULT_MAX_ORDER = 64
 
 
@@ -55,11 +54,11 @@ class MatrixTooLarge(PolyDivError):
     """A requested matrix order exceeds the configured cap."""
 
 
-def _check_order(order: int, max_order: int) -> None:
+def _check_order(order: int) -> None:
     if order < 1:
         raise IndexOutOfRange(f"matrix order must be positive, got {order}")
-    if order > max_order:
-        raise MatrixTooLarge(f"matrix order {order} exceeds the cap {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise MatrixTooLarge(f"matrix order {order} exceeds the cap {DEFAULT_MAX_ORDER}")
 
 
 class ExactMatrix:
@@ -222,9 +221,9 @@ def anti_identity_sign(t: int) -> Rational:
     return Fraction(-1) ** (t * (t - 1) // 2)
 
 
-def build_anti_identity(t: int, max_order: int = DEFAULT_MAX_ORDER) -> ExactMatrix:
+def build_anti_identity(t: int) -> ExactMatrix:
     """Permutation matrix with ones on the anti-diagonal."""
-    _check_order(t, max_order)
+    _check_order(t)
     return ExactMatrix(
         tuple(
             tuple(Fraction(1 if i + j == t - 1 else 0) for j in range(t))
@@ -233,7 +232,7 @@ def build_anti_identity(t: int, max_order: int = DEFAULT_MAX_ORDER) -> ExactMatr
     )
 
 
-def build_hankel(g: Polynomial, n: int, max_order: int = DEFAULT_MAX_ORDER) -> ExactMatrix:
+def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
     """Coefficient matrix of the quotient system, order n - m + 1.
 
     Entry (i, j), 0-based, holds the raw divisor coefficient with index
@@ -247,7 +246,7 @@ def build_hankel(g: Polynomial, n: int, max_order: int = DEFAULT_MAX_ORDER) -> E
     if n < m:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
     size = n - m + 1
-    _check_order(size, max_order)
+    _check_order(size)
     return ExactMatrix(
         tuple(
             tuple(g.coeff(2 * m - n + i + j) for j in range(size))
@@ -282,9 +281,7 @@ def _require_division_shape(f: Polynomial, g: Polynomial) -> tuple[int, int]:
     return f.degree, g.degree
 
 
-def build_bordered(
-    f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER
-) -> ExactMatrix:
+def build_bordered(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     """The matrix W at the point x0, order t = n - m + 2.
 
     Rows 1..t-1 are the Hankel rows extended by the dividend column
@@ -292,40 +289,36 @@ def build_bordered(
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
-    _check_order(t, max_order)
+    _check_order(t)
     x0 = _coerce(x0)
-    hankel = build_hankel(g, n, max_order=max_order)
+    hankel = build_hankel(g, n)
     rows = [hankel.rows[i] + (f.coeff(m + i),) for i in range(t - 1)]
     rows.append(tuple(x0 ** (n - m - j) for j in range(t - 1)) + (Fraction(0),))
     return ExactMatrix(rows)
 
 
-def det_W_at(f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER) -> Rational:
+def det_W_at(f: Polynomial, g: Polynomial, x0) -> Rational:
     """Exact determinant of the bordered matrix W evaluated at x0.
 
     As a function of x0 this is -det(H) times the quotient of f by g.
     quotient_ratio reads that quotient off the cofactors of W's last row,
     taking them all from maximal_minors in place of evaluating W.
     """
-    return det_oracle(build_bordered(f, g, x0, max_order=max_order))
+    return det_oracle(build_bordered(f, g, x0))
 
 
-def build_permuted(
-    f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER
-) -> ExactMatrix:
+def build_permuted(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     """W with its bottom row cycled to the top and last column to the front.
 
     Both cycles are even permutations of t - 1 transpositions each, so
     the determinant is unchanged: det(T) = det(W).
     """
-    bordered = build_bordered(f, g, x0, max_order=max_order)
+    bordered = build_bordered(f, g, x0)
     cycled = [row[-1:] + row[:-1] for row in bordered.rows]
     return ExactMatrix([cycled[-1]] + cycled[:-1])
 
 
-def build_hessenberg(
-    f: Polynomial, g: Polynomial, x0, max_order: int = DEFAULT_MAX_ORDER
-) -> ExactMatrix:
+def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     """Lower Hessenberg form of W: the rows of T in reverse order.
 
     Row i (0-based, i < t-1) is a_{n-i} followed by the divisor slice
@@ -335,7 +328,7 @@ def build_hessenberg(
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
-    _check_order(t, max_order)
+    _check_order(t)
     x0 = _coerce(x0)
     rows = [
         (f.coeff(n - i),) + tuple(g.coeff(m - i + j - 1) for j in range(1, t))
@@ -360,10 +353,10 @@ class DeltaMixedSpec:
             raise IndexOutOfRange(f"delta index {self.k} outside 1..{n - m + 1}")
 
 
-def mixed_delta_matrix(spec: DeltaMixedSpec, max_order: int = DEFAULT_MAX_ORDER) -> ExactMatrix:
+def mixed_delta_matrix(spec: DeltaMixedSpec) -> ExactMatrix:
     """Explicit k-by-k matrix: column 0 holds a_n .. a_{n-k+1}, column
     j >= 1 holds the raw divisor coefficients g_{m-i+j-1}."""
-    _check_order(spec.k, max_order)
+    _check_order(spec.k)
     n = spec.f.degree
     m = spec.g.degree
     return ExactMatrix(
@@ -444,9 +437,7 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(d[::-1])
 
 
-def quotient_ratio(
-    f: Polynomial, g: Polynomial, max_order: int = DEFAULT_MAX_ORDER
-) -> Polynomial:
+def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient recovered from the ratio -det(W at x) / det(H).
 
     det W is linear in W's last row x^(n-m), ..., x, 1, 0, so expanding
@@ -464,8 +455,8 @@ def quotient_ratio(
     n, m = _require_division_shape(f, g)
     t = n - m + 2
     # H before W, so a refusal names the smaller matrix past the cap.
-    _check_order(t - 1, max_order)
-    minors = maximal_minors(build_bordered(f, g, 0, max_order=max_order).rows[:-1])
+    _check_order(t - 1)
+    minors = maximal_minors(build_bordered(f, g, 0).rows[:-1])
     det_h = minors.pop()
     d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
     return Polynomial(d[::-1])
@@ -505,9 +496,7 @@ class DeltaPureSpec:
             raise IndexOutOfRange(f"delta index must be positive, got {self.k}")
 
 
-def pure_delta_matrix(
-    spec: DeltaPureSpec, flipped: bool = False, max_order: int = DEFAULT_MAX_ORDER
-) -> ExactMatrix:
+def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> ExactMatrix:
     """Explicit matrix behind the pure deltas.
 
     Base variant: entry (i, j), 0-based, is -c(m-1-i+j) on and below the
@@ -515,7 +504,7 @@ def pure_delta_matrix(
     both: +c entries below, -lead above. Either way the determinant
     changes by (-1)^k between the two.
     """
-    _check_order(spec.k, max_order)
+    _check_order(spec.k)
     views = spec.views
     m = views.degree
     sgn = -1 if flipped else 1
@@ -563,8 +552,6 @@ def divide_det_formula(f: Polynomial, g: Polynomial) -> DivisionResult:
     return divide_with(f, g, quotient_from_dets)
 
 
-def divide_det_ratio(
-    f: Polynomial, g: Polynomial, max_order: int = DEFAULT_MAX_ORDER
-) -> DivisionResult:
+def divide_det_ratio(f: Polynomial, g: Polynomial) -> DivisionResult:
     """Full division with the quotient taken from the determinant ratio."""
-    return divide_with(f, g, lambda f, g: quotient_ratio(f, g, max_order=max_order))
+    return divide_with(f, g, quotient_ratio)

@@ -18,7 +18,7 @@ from polydiv.cli import (
     parse_polynomial,
     render_polynomial,
 )
-from polydiv.polycore import DivisionResult, Polynomial, ZeroDivisor
+from polydiv.polycore import DivisionResult, Polynomial, ZeroDivisor, long_divide
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=8).map(Polynomial)
@@ -77,6 +77,17 @@ def test_parse_errors_carry_columns():
         parse_polynomial("[1, q]")
 
 
+def test_text_after_coefficient_list():
+    for text, column in (("[1]  junk", 6), ("[1, 2] + x", 8)):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == f"column {column}: unexpected text after the coefficient list"
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("[1, 2")
+    assert str(exc.value) == "column 5: unterminated coefficient list"
+    assert parse_polynomial(" [1, 2]  ") == Polynomial([1, 2])
+
+
 def test_degree_cap_enforced():
     with pytest.raises(LimitExceeded):
         parse_polynomial("x^513")
@@ -104,6 +115,17 @@ def test_coefficient_bit_cap():
         parse_polynomial(huge)
     with pytest.raises(LimitExceeded):
         parse_polynomial(f"[{huge}]")
+    # 1234 nines pass the digit-run cap and need 4100 bits.
+    nines = "9" * cli.MAX_DIGITS
+    for text, column in ((nines, 1), (f"[1, {nines}]", 5), (f"1/{nines}", 1)):
+        with pytest.raises(LimitExceeded) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == f"column {column}: coefficient needs 4100 bits, cap is 4096"
+    # Each term fits; their sum, checked after summing, does not.
+    widest = 2 ** cli.MAX_COEFF_BITS - 1
+    with pytest.raises(LimitExceeded) as exc:
+        parse_polynomial(f"{widest}x + {widest}x")
+    assert str(exc.value) == "coefficient needs 4097 bits, cap is 4096"
 
 
 @pytest.mark.parametrize(
@@ -232,6 +254,13 @@ def test_cmd_delta_variants():
     assert cmd_delta("x^3", 2, "pure-direct") == "0"
 
 
+def test_unknown_delta_variant_and_sequence_kind():
+    with pytest.raises(ParseError, match="unknown delta variant 'pure-bogus'"):
+        cmd_delta("x^2-x-1", 1, "pure-bogus")
+    with pytest.raises(ParseError, match="unknown sequence kind 'u'"):
+        cmd_sequence("x^2-x-1", "u", 3)
+
+
 def test_cmd_sequence_examples():
     assert cmd_sequence("x^2-x-1", "t", 5) == "1, 1, 2, 3, 5"
     assert cmd_sequence("x^3", "s", 4) == "1, 0, 0, 0"
@@ -299,6 +328,22 @@ def test_main_mismatch_exit(capsys, monkeypatch):
     assert out.err == (
         "mismatch: method closed disagrees with longdiv: remainder coefficient of x^0 is 3, expected 2\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_main_refuses_result_that_fails_to_reconstruct(capsys, monkeypatch, fmt):
+    def corrupted(f, g):
+        good = long_divide(f, g)
+        return DivisionResult(
+            quotient=good.quotient + Polynomial([1]), remainder=good.remainder
+        )
+
+    monkeypatch.setitem(cli.METHODS, "closed", corrupted)
+    argv = ["divide", "--dividend", "x^4", "--divisor", "x^2-x-1", "--method", "closed"]
+    assert cli.main(argv + ["--format", fmt]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "mismatch: method closed fails to reconstruct the dividend\n"
 
 
 @pytest.mark.skipif(

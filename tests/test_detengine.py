@@ -472,14 +472,13 @@ def test_matrix_order_cap():
         build_anti_identity(65)
     with pytest.raises(MatrixTooLarge):
         build_hankel(Polynomial([0, 1]), 80)
-    with pytest.raises(MatrixTooLarge):
-        quotient_ratio(Polynomial([0] * 9 + [1]), Polynomial([0, 1]), max_order=5)
-    # H for x^5 / x has order 5 and fits; W has order 6 and does not.
-    with pytest.raises(MatrixTooLarge):
-        quotient_ratio(Polynomial([0] * 5 + [1]), Polynomial([0, 1]), max_order=5)
-    q = quotient_ratio(Polynomial([0] * 4 + [1]), Polynomial([0, 1]), max_order=5)
-    assert q == Polynomial([0] * 3 + [1])
-    assert build_anti_identity(65, max_order=65).order == 65
+    with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
+        quotient_ratio(Polynomial([0] * 69 + [1]), Polynomial([0, 1]))
+    # H for x^64 / x has order 64 and fits; W has order 65 and does not.
+    with pytest.raises(MatrixTooLarge, match="matrix order 65 "):
+        quotient_ratio(Polynomial([0] * 64 + [1]), Polynomial([0, 1]))
+    q = quotient_ratio(Polynomial([0] * 63 + [1]), Polynomial([0, 1]))
+    assert q == Polynomial([0] * 62 + [1])
 
 
 def test_exact_matrix_rejects_floats():
