@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import S_MONIC, T_GENERAL, divide_closed, s_sequence, t_sequence
+from .closedform import divide_closed, s_sequence, t_sequence
 from .detengine import (
     DeltaPureSpec,
     MatrixTooLarge,
@@ -35,7 +34,7 @@ from .polycore import (
 
 # Input guards. Exact arithmetic has no overflow, so the only protection
 # against hostile input is refusing it early.
-DEFAULT_MAX_DEGREE = 512
+MAX_DEGREE = 512
 MAX_COEFF_BITS = 4096
 # 2^4096 has 1234 decimal digits, so no value within the bit cap needs a
 # longer digit run. Longer runs are refused before int() sees them: past
@@ -67,19 +66,6 @@ class Mismatch(PolyDivError):
 
 class OutputTooLarge(PolyDivError):
     """A result value has too many decimal digits to print."""
-
-
-def _max_degree() -> int:
-    raw = os.environ.get("POLYDIV_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise LimitExceeded(f"POLYDIV_MAX_DEGREE is not an integer: {raw!r}")
-    if cap < 0:
-        raise LimitExceeded(f"POLYDIV_MAX_DEGREE is negative: {raw!r}")
-    return cap
 
 
 def _check_coefficient(value: Fraction, column: int | None = None) -> Fraction:
@@ -127,9 +113,10 @@ def _parse_list(text: str) -> Polynomial:
     if not inner.strip():
         return Polynomial()
     entries = inner.split(",")
-    cap = _max_degree()
-    if len(entries) - 1 > cap:
-        raise LimitExceeded(f"coefficient list implies degree {len(entries) - 1}, cap is {cap}")
+    if len(entries) - 1 > MAX_DEGREE:
+        raise LimitExceeded(
+            f"coefficient list implies degree {len(entries) - 1}, cap is {MAX_DEGREE}"
+        )
     coeffs = []
     offset = open_at + 1
     for entry in entries:
@@ -168,7 +155,6 @@ def parse_polynomial(text: str) -> Polynomial:
 
     powers: dict[int, Fraction] = {}
     first = True
-    cap = _max_degree()
     while pos < len(src):
         sign = 1
         if src[pos] in "+-":
@@ -185,8 +171,8 @@ def parse_polynomial(text: str) -> Polynomial:
             exp = int(match.group("exp")) if match.group("exp") else 1
             if exp < 0:
                 raise ParseError(f"negative exponent {exp}", column)
-            if exp > cap:
-                raise LimitExceeded(f"exponent {exp} exceeds degree cap {cap}", column)
+            if exp > MAX_DEGREE:
+                raise LimitExceeded(f"exponent {exp} exceeds degree cap {MAX_DEGREE}", column)
         else:
             exp = 0
         _check_coefficient(coeff, column)
@@ -306,7 +292,7 @@ DELTAS = {
     "pure-closed": delta_pure_closed,
     "pure-flipped": functools.partial(delta_pure_closed, flipped=True),
 }
-SEQUENCES = {S_MONIC: s_sequence, T_GENERAL: t_sequence}
+SEQUENCES = {"s": s_sequence, "t": t_sequence}
 
 
 def _reconstructed(
@@ -363,9 +349,8 @@ def _check_count(flag: str, count: int) -> None:
     # The sequence and delta recurrences cost O(count * m) exact
     # operations on terms that grow with count, so the degree cap
     # bounds the count as well.
-    cap = _max_degree()
-    if count > cap:
-        raise LimitExceeded(f"{flag} {count} exceeds the degree cap {cap} (POLYDIV_MAX_DEGREE)")
+    if count > MAX_DEGREE:
+        raise LimitExceeded(f"{flag} {count} exceeds the degree cap {MAX_DEGREE}")
 
 
 def cmd_delta(divisor: str, k: int, variant: str) -> str:
@@ -381,7 +366,7 @@ def cmd_sequence(divisor: str, kind: str, count: int) -> str:
     views = divisor_views(parse_polynomial(divisor))
     if kind not in SEQUENCES:
         raise ParseError(f"unknown sequence kind {kind!r}")
-    return ", ".join(_exact_str(term) for term in SEQUENCES[kind](views, count).terms)
+    return ", ".join(_exact_str(term) for term in SEQUENCES[kind](views, count))
 
 
 def _handle_report(args: argparse.Namespace) -> str:

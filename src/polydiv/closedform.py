@@ -8,7 +8,6 @@ oracle; agreement between the two routes is checked in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -26,27 +25,9 @@ from .polycore import (
     divisor_views,
 )
 
-# Sequence kinds. The monic kind absorbs the leading coefficient into the
-# divisor; the general kind carries it through every step instead.
-S_MONIC = "s"
-T_GENERAL = "t"
 
-
-@dataclass(frozen=True)
-class RecurrentSequence:
-    """Terms of one divisor-driven recurrence, 1-indexed via term()."""
-
-    kind: str
-    terms: tuple[Rational, ...]
-
-    def term(self, r: int) -> Rational:
-        if not 1 <= r <= len(self.terms):
-            raise IndexError(f"term index {r} outside 1..{len(self.terms)}")
-        return self.terms[r - 1]
-
-
-def s_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
-    """First ``count`` terms of the monic-divisor recurrence.
+def s_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
+    """First ``count`` terms s_1 .. s_count of the monic-divisor recurrence.
 
     s_1 = 1 and each later term is a tail-weighted sum of its
     predecessors:
@@ -61,7 +42,7 @@ def s_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
     # s_r = lead * t_r, and lead = L/D turns t_r = D * T_r / L^r into
     # s_r = T_r / L^(r-1).
     _, lead, terms = _general_terms(views, count)
-    return RecurrentSequence(kind=S_MONIC, terms=tuple(map(Fraction, terms, _powers(lead, count))))
+    return tuple(map(Fraction, terms, _powers(lead, count)))
 
 
 def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]]:
@@ -77,8 +58,8 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     return den, lead, _recurrence(back, count)
 
 
-def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
-    """First ``count`` terms of the general-divisor recurrence.
+def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
+    """First ``count`` terms t_1 .. t_count of the general-divisor recurrence.
 
     t_1 = 1/lead and
 
@@ -91,10 +72,7 @@ def t_sequence(views: DivisorViews, count: int) -> RecurrentSequence:
         raise DegreeTooSmall("a sequence needs at least one term")
     den, lead, terms = _general_terms(views, count)
     powers = _powers(lead, count + 1)
-    return RecurrentSequence(
-        kind=T_GENERAL,
-        terms=tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:])),
-    )
+    return tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:]))
 
 
 def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:

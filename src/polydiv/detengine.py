@@ -261,14 +261,13 @@ def hankel_det_closed(g: Polynomial, n: int) -> Rational:
     The matrix is anti-triangular with the lead coefficient along the
     anti-diagonal, so with t = n - m + 2 its determinant is
 
-        (-1)^((t-1)(t-2)/2) * lead^(t-1).
+        anti_identity_sign(t - 1) * lead^(t-1).
     """
     views = divisor_views(g)
     if n < views.degree:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {views.degree}")
     t = n - views.degree + 2
-    sign = Fraction(-1) ** ((t - 1) * (t - 2) // 2)
-    return sign * views.lead ** (t - 1)
+    return anti_identity_sign(t - 1) * views.lead ** (t - 1)
 
 
 def _require_division_shape(f: Polynomial, g: Polynomial) -> tuple[int, int]:
@@ -289,9 +288,10 @@ def build_bordered(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     """
     n, m = _require_division_shape(f, g)
     t = n - m + 2
+    # H first, so a refusal names the smaller matrix past the cap.
+    hankel = build_hankel(g, n)
     _check_order(t)
     x0 = _coerce(x0)
-    hankel = build_hankel(g, n)
     rows = [hankel.rows[i] + (f.coeff(m + i),) for i in range(t - 1)]
     rows.append(tuple(x0 ** (n - m - j) for j in range(t - 1)) + (Fraction(0),))
     return ExactMatrix(rows)
@@ -452,11 +452,9 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     t minors at once, det(H) among them, and keeps this route free of any
     closed formula.
     """
-    n, m = _require_division_shape(f, g)
-    t = n - m + 2
-    # H before W, so a refusal names the smaller matrix past the cap.
-    _check_order(t - 1)
-    minors = maximal_minors(build_bordered(f, g, 0).rows[:-1])
+    rows = build_bordered(f, g, 0).rows[:-1]
+    t = len(rows) + 1
+    minors = maximal_minors(rows)
     det_h = minors.pop()
     d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
     return Polynomial(d[::-1])
@@ -540,7 +538,7 @@ def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
     for i in range(1, spec.k + 1):
         ci = views.c(m - spec.k - 1 + i)
         if ci != 0:
-            acc += t_terms.term(i) * ci
+            acc += t_terms[i - 1] * ci
     base = views.lead ** spec.k * acc
     if flipped:
         return base

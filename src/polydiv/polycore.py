@@ -127,13 +127,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        result = long_divide(self, other)
-        return result.quotient, result.remainder
-
-    def __call__(self, x0: Scalar) -> Rational:
-        return evaluate(self, x0)
-
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"Polynomial([{inner}])"

@@ -94,19 +94,7 @@ def test_degree_cap_enforced():
     parse_polynomial("x^512")
     with pytest.raises(LimitExceeded):
         parse_polynomial("[" + ", ".join(["1"] * 514) + "]")
-
-
-def test_degree_cap_env_override(monkeypatch):
-    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "4")
-    with pytest.raises(LimitExceeded):
-        parse_polynomial("x^5")
-    assert parse_polynomial("x^4") == Polynomial([0, 0, 0, 0, 1])
-    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "not-a-number")
-    with pytest.raises(LimitExceeded):
-        parse_polynomial("x")
-    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "-3")
-    with pytest.raises(LimitExceeded, match="POLYDIV_MAX_DEGREE"):
-        parse_polynomial("1")
+    assert parse_polynomial("[" + ", ".join(["1"] * 513) + "]").degree == 512
 
 
 def test_coefficient_bit_cap():
@@ -387,13 +375,13 @@ def test_main_sequence_and_delta(capsys):
     ids=["sequence-s", "sequence-t", "delta-pure-closed", "delta-pure-flipped"],
 )
 def test_counts_capped_at_degree_cap(capsys, monkeypatch, argv):
-    monkeypatch.setenv("POLYDIV_MAX_DEGREE", "8")
+    monkeypatch.setattr(cli, "MAX_DEGREE", 8)
     assert cli.main(argv + ["8"]) == 0
     capsys.readouterr()
     assert cli.main(argv + ["9"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert "cap 8" in out.err and "POLYDIV_MAX_DEGREE" in out.err
+    assert out.err == f"parse error: {argv[-1]} 9 exceeds the degree cap 8\n"
 
 
 def test_verify_small_dividend_trivial_agreement(capsys):

@@ -474,6 +474,8 @@ def test_matrix_order_cap():
         build_hankel(Polynomial([0, 1]), 80)
     with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
         quotient_ratio(Polynomial([0] * 69 + [1]), Polynomial([0, 1]))
+    with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
+        build_bordered(Polynomial([0] * 69 + [1]), Polynomial([0, 1]), 0)
     # H for x^64 / x has order 64 and fits; W has order 65 and does not.
     with pytest.raises(MatrixTooLarge, match="matrix order 65 "):
         quotient_ratio(Polynomial([0] * 64 + [1]), Polynomial([0, 1]))

@@ -1,11 +1,13 @@
-"""Byte-identical CLI replies on the benchmark corpus.
+"""The CLI as the benchmark sees it.
 
-Each case serves the seed-1 traced prefix of one benchmark workload
-through ``cli.main`` and hashes every reply, exit code, stdout and
-stderr, into one sha256. A change that alters a reply on purpose updates
-the digest here and says why. The corpus is imported from
+Each replies case serves the seed-1 traced prefix of one benchmark
+workload through ``cli.main`` and hashes every reply, exit code, stdout
+and stderr, into one sha256. A change that alters a reply on purpose
+updates the digest here and says why. The corpus is imported from
 ``perfbench/workloads.py``, so the requests are the ones the benchmark
-serves.
+serves. The tracer case installs ``perfbench/tracing.py``'s patch table,
+so a library change that unbinds a name the benchmark wraps fails here,
+naming it, rather than in every benchmark request.
 """
 import hashlib
 import importlib.util
@@ -17,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from polydiv import cli
+from polydiv import cli, closedform, detengine, polycore
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Taken under CPython's default int-to-str limit of 4300 digits, which
 # over-limit refusals name in their message.
@@ -30,10 +32,10 @@ DIGESTS = {
 }
 
 
-def _workloads():
-    name = "_perfbench_workloads"
+def _perfbench(module_name: str):
+    name = f"_perfbench_{module_name}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{module_name}.py")
         module = importlib.util.module_from_spec(spec)
         # Registered first: dataclasses looks its module up while the file runs.
         sys.modules[name] = module
@@ -42,7 +44,7 @@ def _workloads():
 
 
 def replies_digest(workload_name: str, seed: int = 1) -> str:
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     workload = workloads.WORKLOADS[workload_name]
     corpus = workloads.Corpus(workload, seed)
     digest = hashlib.sha256()
@@ -61,3 +63,25 @@ def replies_digest(workload_name: str, seed: int = 1) -> str:
 @pytest.mark.parametrize("workload_name", sorted(DIGESTS))
 def test_replies_are_byte_identical(workload_name):
     assert replies_digest(workload_name) == DIGESTS[workload_name]
+
+
+def test_tracer_patches_and_restores_every_binding():
+    modules = (cli, polycore, closedform, detengine)
+    owners = modules + (cli.DivisionReport, polycore.DivisionResult)
+    before = [dict(vars(owner)) for owner in owners]
+    methods = dict(cli.METHODS)
+    tracer = _perfbench("tracing").Tracer()
+    with tracer.installed(*modules) as main, redirect_stdout(io.StringIO()):
+        assert main(["verify", "--dividend", "x^4", "--divisor", "x^2 - x - 1"]) == 0
+    summary = tracer.summary()
+    assert {tag: summary[f"route.{tag}.calls"] for tag in methods} == dict.fromkeys(methods, 1)
+    changed = [
+        f"{owner.__name__}.{name}"
+        for owner, snapshot in zip(owners, before)
+        for name in snapshot.keys() | vars(owner).keys()
+        if snapshot.get(name) is not vars(owner).get(name)
+    ]
+    changed += [
+        f"cli.METHODS[{tag!r}]" for tag in methods if cli.METHODS.get(tag) is not methods[tag]
+    ]
+    assert changed == [] and cli.METHODS.keys() == methods.keys()
