@@ -39,7 +39,7 @@ MAX_COEFF_BITS = 4096
 # 2^4096 has 1234 decimal digits, so no value within the bit cap needs a
 # longer digit run. Longer runs are refused before int() sees them: past
 # the interpreter's int-to-str limit it raises a bare ValueError.
-MAX_DIGITS = 1234
+MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
 class ParseError(PolyDivError):

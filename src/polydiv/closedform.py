@@ -37,8 +37,6 @@ def s_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
     where gamma(j) is the negated tail of the monic divisor and reads 0
     outside 0..m-1. For x^2 - x - 1 this is the Fibonacci sequence.
     """
-    if count < 1:
-        raise DegreeTooSmall("a sequence needs at least one term")
     # s_r = lead * t_r, and lead = L/D turns t_r = D * T_r / L^r into
     # s_r = T_r / L^(r-1).
     _, lead, terms = _general_terms(views, count)
@@ -50,6 +48,8 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     # D*g, an integer polynomial with lead L and negated tail c', gives
     # T_1 = 1 and T_r = sum of c'(m - i) * L^(i-1) * T_{r-i} over
     # i = 1 .. min(r-1, m), with t_r = D * T_r / L^r. Returns D, L, T.
+    if count < 1:
+        raise DegreeTooSmall("a sequence needs at least one term")
     den, ints = _clear_denominators(views.negated_tail + (views.lead,))
     lead = ints.pop()
     m = len(ints)
@@ -68,8 +68,6 @@ def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
     with c(j) the negated divisor tail. Term for term this is the monic
     sequence divided by the leading coefficient: lead * t_r = s_r.
     """
-    if count < 1:
-        raise DegreeTooSmall("a sequence needs at least one term")
     den, lead, terms = _general_terms(views, count)
     powers = _powers(lead, count + 1)
     return tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:]))

@@ -10,6 +10,9 @@ deltas) deliver the quotient one coefficient at a time. A second, pure
 family of deltas built from the divisor tail alone collapses to a short
 sum over the general recurrent sequence.
 
+H, the anti-identity and both delta matrices are windows of one
+coefficient sequence (_toeplitz); the Hessenberg form is derived from W.
+
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
 the formulas it checks. Above order 4 it runs maximal_minors, one
@@ -61,6 +64,7 @@ def _check_order(order: int) -> None:
         raise MatrixTooLarge(f"matrix order {order} exceeds the cap {DEFAULT_MAX_ORDER}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ExactMatrix:
     """Immutable square matrix of rationals.
 
@@ -81,9 +85,6 @@ class ExactMatrix:
             raise IndexOutOfRange("matrix must be square")
         object.__setattr__(self, "rows", grid)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
     @property
     def order(self) -> int:
         return len(self.rows)
@@ -96,14 +97,6 @@ class ExactMatrix:
         if not 1 <= k <= self.order:
             raise IndexOutOfRange(f"minor order {k} outside 1..{self.order}")
         return ExactMatrix(tuple(row[:k] for row in self.rows[:k]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
@@ -221,15 +214,22 @@ def anti_identity_sign(t: int) -> Rational:
     return Fraction(-1) ** (t * (t - 1) // 2)
 
 
+def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> list[tuple]:
+    """Rows 0 .. size-1 of the matrix whose entry (i, j) is
+    coeffs[shift - i + j], reading 0 outside the sequence. Row i is the
+    slice of one zero-padded tuple that starts at index shift - i."""
+    low = shift - size + 1
+    padded = tuple([
+        coeffs[p] if 0 <= p < len(coeffs) else Fraction(0)
+        for p in range(low, low + size + width - 1)
+    ])
+    return [padded[size - 1 - i : size - 1 - i + width] for i in range(size)]
+
+
 def build_anti_identity(t: int) -> ExactMatrix:
-    """Permutation matrix with ones on the anti-diagonal."""
+    """Permutation matrix with ones on the anti-diagonal: the identity reversed."""
     _check_order(t)
-    return ExactMatrix(
-        tuple(
-            tuple(Fraction(1 if i + j == t - 1 else 0) for j in range(t))
-            for i in range(t)
-        )
-    )
+    return ExactMatrix(_toeplitz((1,), 0, t, t)[::-1])
 
 
 def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
@@ -239,7 +239,8 @@ def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
     2m - n + i + j, reading 0 outside 0..m. Anti-diagonals are constant,
     the main anti-diagonal is all lead coefficients, and everything
     strictly below it is zero. Multiplying by the descending quotient
-    vector reproduces the top dividend coefficients a_m .. a_n.
+    vector reproduces the top dividend coefficients a_m .. a_n. These are
+    the rows of the Toeplitz matrix g_(m-i+j) in reverse order.
     """
     views = divisor_views(g)
     m = views.degree
@@ -247,12 +248,7 @@ def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
     size = n - m + 1
     _check_order(size)
-    return ExactMatrix(
-        tuple(
-            tuple(g.coeff(2 * m - n + i + j) for j in range(size))
-            for i in range(size)
-        )
-    )
+    return ExactMatrix(_toeplitz(g.coeffs, m, size, size)[::-1])
 
 
 def hankel_det_closed(g: Polynomial, n: int) -> Rational:
@@ -323,19 +319,11 @@ def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
 
     Row i (0-based, i < t-1) is a_{n-i} followed by the divisor slice
     g_{m-i}, g_{m-i+1}, ...; the constant superdiagonal is the lead
-    coefficient. The last row is 0, x0^(n-m), ..., x0, 1. Equal by
-    construction to anti_identity @ permuted, which the tests assert.
+    coefficient. The last row is 0, x0^(n-m), ..., x0, 1. Derived from
+    build_permuted, so the caps and refusals are W's; the tests still
+    hold it equal to anti_identity @ permuted.
     """
-    n, m = _require_division_shape(f, g)
-    t = n - m + 2
-    _check_order(t)
-    x0 = _coerce(x0)
-    rows = [
-        (f.coeff(n - i),) + tuple(g.coeff(m - i + j - 1) for j in range(1, t))
-        for i in range(t - 1)
-    ]
-    rows.append((Fraction(0),) + tuple(x0 ** (t - 1 - j) for j in range(1, t)))
-    return ExactMatrix(rows)
+    return ExactMatrix(build_permuted(f, g, x0).rows[::-1])
 
 
 @dataclass(frozen=True)
@@ -355,17 +343,10 @@ class DeltaMixedSpec:
 
 def mixed_delta_matrix(spec: DeltaMixedSpec) -> ExactMatrix:
     """Explicit k-by-k matrix: column 0 holds a_n .. a_{n-k+1}, column
-    j >= 1 holds the raw divisor coefficients g_{m-i+j-1}."""
+    j >= 1 holds the raw divisor coefficients g_{m-i+j-1}, a Toeplitz band."""
     _check_order(spec.k)
-    n = spec.f.degree
-    m = spec.g.degree
-    return ExactMatrix(
-        tuple(
-            (spec.f.coeff(n - i),)
-            + tuple(spec.g.coeff(m - i + j - 1) for j in range(1, spec.k))
-            for i in range(spec.k)
-        )
-    )
+    band = _toeplitz(spec.g.coeffs, spec.g.degree, spec.k, spec.k - 1)
+    return ExactMatrix([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
 
 def _mixed_delta_parts(
@@ -500,24 +481,14 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> ExactMatrix
     Base variant: entry (i, j), 0-based, is -c(m-1-i+j) on and below the
     diagonal and lead on the superdiagonal. The flipped variant negates
     both: +c entries below, -lead above. Either way the determinant
-    changes by (-1)^k between the two.
+    changes by (-1)^k between the two. As -c(j) = g_j and g_m = lead,
+    this is the Toeplitz matrix of g (of -g when flipped) at shift m - 1.
     """
     _check_order(spec.k)
     views = spec.views
-    m = views.degree
     sgn = -1 if flipped else 1
-    rows = []
-    for i in range(spec.k):
-        row = []
-        for j in range(spec.k):
-            if j <= i:
-                row.append(-sgn * views.c(m - 1 - i + j))
-            elif j == i + 1:
-                row.append(sgn * views.lead)
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
-    return ExactMatrix(rows)
+    coeffs = [-sgn * c for c in views.negated_tail] + [sgn * views.lead]
+    return ExactMatrix(_toeplitz(coeffs, views.degree - 1, spec.k, spec.k))
 
 
 def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Rational:

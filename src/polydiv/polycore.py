@@ -42,6 +42,7 @@ def _coerce(value: Scalar) -> Rational:
     return Fraction(value)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """Immutable dense polynomial over the rationals.
 
@@ -60,9 +61,6 @@ class Polynomial:
         while values and values[-1] == 0:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -85,14 +83,6 @@ class Polynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero

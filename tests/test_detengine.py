@@ -171,6 +171,8 @@ def test_exact_matrix_is_immutable():
     m = ExactMatrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = ((Fraction(2),),)
+    with pytest.raises(AttributeError):
+        m.order_cache = 1
 
 
 def test_anti_identity_sign_small_orders():
@@ -211,6 +213,7 @@ def test_build_hankel_shape(pair):
     assert matrix.order == size
     for i in range(size):
         for j in range(size):
+            assert matrix.entry(i, j) == g.coeff(2 * m - n + i + j)
             if i + j == size - 1:
                 assert matrix.entry(i, j) == g.lead
             elif i + j > size - 1:
@@ -437,6 +440,34 @@ def test_pure_delta_rejects_bad_index():
         DeltaPureSpec(views=divisor_views(GOLDEN_G), k=0)
 
 
+@given(division_pairs(max_n=9), divisors, st.integers(min_value=1, max_value=10), st.data())
+@settings(max_examples=60)
+def test_windowed_builder_entries(pair, g, k, data):
+    # Each entry against its written formula, one index at a time.
+    f, h = pair
+    n, m = f.degree, h.degree
+    mixed_k = data.draw(st.integers(min_value=1, max_value=n - m + 1))
+    mixed = mixed_delta_matrix(DeltaMixedSpec(f=f, g=h, k=mixed_k))
+    for i in range(mixed_k):
+        assert mixed.entry(i, 0) == f.coeff(n - i)
+        for j in range(1, mixed_k):
+            assert mixed.entry(i, j) == h.coeff(m - i + j - 1)
+    views = divisor_views(g)
+    for flipped, sgn in ((False, 1), (True, -1)):
+        pure = pure_delta_matrix(DeltaPureSpec(views=views, k=k), flipped=flipped)
+        for i in range(k):
+            for j in range(k):
+                if j <= i:
+                    expected = -sgn * views.c(views.degree - 1 - i + j)
+                else:
+                    expected = sgn * views.lead if j == i + 1 else 0
+                assert pure.entry(i, j) == expected
+    anti = build_anti_identity(k)
+    for i in range(k):
+        for j in range(k):
+            assert anti.entry(i, j) == (1 if i + j == k - 1 else 0)
+
+
 @given(divisors, st.integers(min_value=1, max_value=8))
 @settings(max_examples=80)
 def test_pure_delta_duality(g, k):
@@ -476,6 +507,8 @@ def test_matrix_order_cap():
         quotient_ratio(Polynomial([0] * 69 + [1]), Polynomial([0, 1]))
     with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
         build_bordered(Polynomial([0] * 69 + [1]), Polynomial([0, 1]), 0)
+    with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
+        build_hessenberg(Polynomial([0] * 69 + [1]), Polynomial([0, 1]), 0)
     # H for x^64 / x has order 64 and fits; W has order 65 and does not.
     with pytest.raises(MatrixTooLarge, match="matrix order 65 "):
         quotient_ratio(Polynomial([0] * 64 + [1]), Polynomial([0, 1]))

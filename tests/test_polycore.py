@@ -218,3 +218,5 @@ def test_polynomial_immutable():
     p = Polynomial([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (Fraction(9),)
+    with pytest.raises(AttributeError):
+        p.degree_cache = 1
