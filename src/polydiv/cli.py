@@ -57,7 +57,7 @@ class ParseError(PolyDivError):
 
 
 class LimitExceeded(ParseError):
-    """Input is well-formed but larger than the configured caps allow."""
+    """Input is well-formed but larger than the fixed caps allow."""
 
 
 class Mismatch(PolyDivError):

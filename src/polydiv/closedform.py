@@ -32,9 +32,9 @@ def s_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
     s_1 = 1 and each later term is a tail-weighted sum of its
     predecessors:
 
-        s_r = sum over i of gamma(m - i) * s_{r-i},  i = 1 .. r-1,
+        s_r = sum over i of (-g_{m-i} / lead) * s_{r-i},  i = 1 .. r-1,
 
-    where gamma(j) is the negated tail of the monic divisor and reads 0
+    with -g_j / lead the negated tail of the monic divisor, read as 0
     outside 0..m-1. For x^2 - x - 1 this is the Fibonacci sequence.
     """
     # s_r = lead * t_r, and lead = L/D turns t_r = D * T_r / L^r into

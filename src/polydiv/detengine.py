@@ -7,8 +7,8 @@ determinant is a scalar multiple of the quotient polynomial itself.
 Cycling and reversing the rows of W turns it into a lower Hessenberg
 matrix with constant superdiagonal, whose leading minors (the mixed
 deltas) deliver the quotient one coefficient at a time. A second, pure
-family of deltas built from the divisor tail alone collapses to a short
-sum over the general recurrent sequence.
+family of deltas built from the divisor tail alone collapses to one term
+of the general recurrent sequence.
 
 H, the anti-identity and both delta matrices are windows of one
 coefficient sequence (_toeplitz); the Hessenberg form is derived from W.
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .closedform import divide_with, t_sequence
+# t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
+from .closedform import _general_terms, divide_with, t_sequence
 from .polycore import (
     DegreeTooSmall,
     DivisionResult,
@@ -54,7 +55,7 @@ class IndexOutOfRange(PolyDivError):
 
 
 class MatrixTooLarge(PolyDivError):
-    """A requested matrix order exceeds the configured cap."""
+    """A requested matrix order exceeds the fixed cap."""
 
 
 def _check_order(order: int) -> None:
@@ -497,23 +498,23 @@ def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
 
 
 def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
-    """Pure delta as a short sum over the general recurrent sequence:
+    """Pure delta as one term of the general recurrent sequence. The
+    written closed form is
 
         delta_k = (-1)^k * lead^k * sum over i = 1 .. k of t_i * c(m-k-1+i)
 
-    for the base variant; the flipped variant drops the (-1)^k."""
-    views = spec.views
-    m = views.degree
-    t_terms = t_sequence(views, spec.k)
-    acc = Fraction(0)
-    for i in range(1, spec.k + 1):
-        ci = views.c(m - spec.k - 1 + i)
-        if ci != 0:
-            acc += t_terms[i - 1] * ci
-    base = views.lead ** spec.k * acc
-    if flipped:
-        return base
-    return base if spec.k % 2 == 0 else -base
+    for the base variant, with c(j) = -g_j reading 0 outside 0..m-1; the
+    flipped variant drops the (-1)^k. The sum is one step of the
+    t-recurrence, lead * t_(k+1), so delta_k = (-1)^k * lead^(k+1) * t_(k+1).
+
+    >>> views = divisor_views(Polynomial([-1, -1, 1]))
+    >>> [delta_pure_closed(DeltaPureSpec(views, k)) for k in (1, 2, 3)]
+    [Fraction(-1, 1), Fraction(2, 1), Fraction(-3, 1)]
+    """
+    # lead = L/D and t_r = D * T_r / L^r make lead^(k+1) * t_(k+1) = T_(k+1) / D^k.
+    den, _, terms = _general_terms(spec.views, spec.k + 1)
+    sign = 1 if flipped or spec.k % 2 == 0 else -1
+    return Fraction(sign * terms[-1], den**spec.k)
 
 
 def divide_det_formula(f: Polynomial, g: Polynomial) -> DivisionResult:

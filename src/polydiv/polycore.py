@@ -124,42 +124,21 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class DivisorViews:
-    """The coefficient views of one nonzero divisor.
+    """The view of one nonzero divisor g of degree m that every
+    recurrence and closed formula in this package reads: the leading
+    coefficient ``lead`` and ``negated_tail``, which holds -g_i for i < m.
 
-    For g of degree m with leading coefficient ``lead``:
-
-    * ``monic_tail`` holds g_i / lead for i < m (the tail of g made monic);
-    * ``negated_tail`` holds -g_i for i < m.
-
-    The negated tail is the canonical internal form for every recurrence
-    and closed formula in this package, which removes the usual sign
-    ambiguity between writing a divisor with plus signs or with the tail
-    subtracted from the leading term. Indices outside 0..m-1 read as 0.
+    Writing the tail negated removes the usual sign ambiguity between a
+    divisor with plus signs and one with the tail subtracted from the
+    leading term.
     """
 
     lead: Rational
-    monic_tail: tuple[Rational, ...]
     negated_tail: tuple[Rational, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.monic_tail)
-
-    def beta(self, j: int) -> Rational:
-        """Monic-tail coefficient g_j / lead, 0 when j is out of range."""
-        if 0 <= j < len(self.monic_tail):
-            return self.monic_tail[j]
-        return Fraction(0)
-
-    def c(self, j: int) -> Rational:
-        """Negated-tail coefficient -g_j, 0 when j is out of range."""
-        if 0 <= j < len(self.negated_tail):
-            return self.negated_tail[j]
-        return Fraction(0)
-
-    def gamma(self, j: int) -> Rational:
-        """Negated tail of the monic divisor: c_j / lead, 0 out of range."""
-        return self.c(j) / self.lead
+        return len(self.negated_tail)
 
 
 @dataclass(frozen=True)
@@ -296,13 +275,7 @@ def monic_reduction(f: Polynomial, g: Polynomial) -> DivisionResult:
 
 
 def divisor_views(g: Polynomial) -> DivisorViews:
-    """Build the canonical multi-convention view of a nonzero divisor."""
+    """The leading coefficient and negated tail of a nonzero divisor."""
     if g.is_zero:
         raise ZeroDivisor("the zero polynomial has no divisor views")
-    lead = g.lead
-    tail = g.coeffs[:-1]
-    return DivisorViews(
-        lead=lead,
-        monic_tail=tuple(c / lead for c in tail),
-        negated_tail=tuple(-c for c in tail),
-    )
+    return DivisorViews(lead=g.lead, negated_tail=tuple([-c for c in g.coeffs[:-1]]))

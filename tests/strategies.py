@@ -33,8 +33,9 @@ def _divisors(coeffs):
 
 wide_polys = _polys(wide_rationals, 30)
 wide_divisors = _divisors(wide_rationals)
+small_divisors = _divisors(rationals)
 polys = st.one_of(_polys(rationals, 8), wide_polys)
-divisors = st.one_of(_divisors(rationals), wide_divisors)
+divisors = st.one_of(small_divisors, wide_divisors)
 proper_divisors = divisors.filter(lambda g: g.degree >= 1)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydiv.closedform import t_sequence
 from polydiv.detengine import (
     DeltaMixedSpec,
     DeltaPureSpec,
@@ -39,7 +40,14 @@ from polydiv.polycore import (
     evaluate,
     long_divide,
 )
-from strategies import division_pairs, divisors, proper_divisors, rationals, wide_rationals
+from strategies import (
+    division_pairs,
+    divisors,
+    proper_divisors,
+    rationals,
+    small_divisors,
+    wide_rationals,
+)
 
 
 def paper_mixed_deltas(f, g, kmax):
@@ -59,6 +67,16 @@ def paper_mixed_deltas(f, g, kmax):
         )
         for k in range(1, kmax + 1)
     ]
+
+
+def paper_pure_delta(g, k, flipped=False):
+    # The written sum term by term in Fraction over the t-sequence, with
+    # c(j) = -g_j reading 0 below index 0.
+    m, lead = g.degree, g.lead
+    t = t_sequence(divisor_views(g), k)
+    acc = sum((t[i - 1] * -g.coeff(m - k - 1 + i) for i in range(1, k + 1)), Fraction(0))
+    sign = 1 if flipped else (-1) ** k
+    return sign * lead**k * acc
 
 
 def paper_quotient_from_dets(f, g):
@@ -458,7 +476,7 @@ def test_windowed_builder_entries(pair, g, k, data):
         for i in range(k):
             for j in range(k):
                 if j <= i:
-                    expected = -sgn * views.c(views.degree - 1 - i + j)
+                    expected = sgn * g.coeff(views.degree - 1 - i + j)
                 else:
                     expected = sgn * views.lead if j == i + 1 else 0
                 assert pure.entry(i, j) == expected
@@ -477,6 +495,14 @@ def test_pure_delta_duality(g, k):
     flipped = delta_pure_closed(spec, flipped=True)
     assert flipped == delta_pure_direct(spec, flipped=True)
     assert flipped == (-1) ** k * base
+
+
+@given(small_divisors, st.integers(min_value=1, max_value=128))
+@settings(max_examples=100, deadline=None)
+def test_pure_delta_matches_paper_sum(g, k):
+    spec = DeltaPureSpec(views=divisor_views(g), k=k)
+    assert delta_pure_closed(spec) == paper_pure_delta(g, k)
+    assert delta_pure_closed(spec, flipped=True) == paper_pure_delta(g, k, flipped=True)
 
 
 @given(division_pairs(max_n=9))

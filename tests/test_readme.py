@@ -4,7 +4,7 @@ Each ``polydiv ...`` line in the README's "Command line" section is split
 as a shell would split it and served through ``cli.main``; its stdout
 must match the ``# `` lines under it. A JSON reply is compared after
 parsing, and a ``# ...`` line stands for any run of lines. The ``>>>``
-examples in ``polycore`` run under doctest.
+examples in the library modules run under doctest.
 """
 import doctest
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from polydiv import cli, polycore
+from polydiv import cli, closedform, detengine, polycore
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,7 +52,7 @@ def test_readme_has_cli_examples():
     assert len(EXAMPLES) == 5
 
 
-def test_polycore_doctests():
-    failed, attempted = doctest.testmod(polycore)
-    assert attempted > 0
-    assert failed == 0
+def test_library_doctests():
+    results = [doctest.testmod(module) for module in (cli, closedform, detengine, polycore)]
+    assert sum(r.attempted for r in results) > 0
+    assert sum(r.failed for r in results) == 0

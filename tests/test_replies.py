@@ -5,16 +5,20 @@ workload through ``cli.main`` and hashes every reply, exit code, stdout
 and stderr, into one sha256. A change that alters a reply on purpose
 updates the digest here and says why. The corpus is imported from
 ``perfbench/workloads.py``, so the requests are the ones the benchmark
-serves. The tracer case installs ``perfbench/tracing.py``'s patch table,
-so a library change that unbinds a name the benchmark wraps fails here,
-naming it, rather than in every benchmark request.
+serves. The ``delta`` subcommand, which no workload serves, is held to
+a digest of its own over a seeded corpus built here. The tracer case
+installs ``perfbench/tracing.py``'s patch table, so a library change
+that unbinds a name the benchmark wraps fails here, naming it, rather
+than in every benchmark request.
 """
 import hashlib
 import importlib.util
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,12 @@ DIGESTS = {
     "divide-highdeg": "41f9bf56b49ab2196ba67c5dee92b4d890d228c3068a880a4d8f40e4a8533d3e",
     "divide-tiny": "c468d1badcacc07b587cad74d36e84b2e7b425790e4760fdfa7bf69230bdf7d8",
 }
+DELTA_DIGEST = "52e00d8581cde98a2cdb5567089f89f0b4cb2eb002b7c26377b61d4558b3a8e5"
+
+needs_default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the digests were taken under the default int-to-str digit limit",
+)
 
 
 def _perfbench(module_name: str):
@@ -43,26 +53,57 @@ def _perfbench(module_name: str):
     return sys.modules[name]
 
 
-def replies_digest(workload_name: str, seed: int = 1) -> str:
-    workloads = _perfbench("workloads")
-    workload = workloads.WORKLOADS[workload_name]
-    corpus = workloads.Corpus(workload, seed)
+def _digest(argvs) -> str:
     digest = hashlib.sha256()
-    for i in range(workload.trace_requests):
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(list(corpus.request(i).argv))
+            code = cli.main(list(argv))
         digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n")
     return digest.hexdigest()
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
-    reason="the digests were taken under the default int-to-str digit limit",
-)
+def replies_digest(workload_name: str, seed: int = 1) -> str:
+    workloads = _perfbench("workloads")
+    workload = workloads.WORKLOADS[workload_name]
+    corpus = workloads.Corpus(workload, seed)
+    return _digest(corpus.request(i).argv for i in range(workload.trace_requests))
+
+
+def delta_argvs(seed: int = 1) -> list[list[str]]:
+    """Every delta variant over 100 random divisors of degree 0..5, integer
+    or rational, with k cycling through 1..12; k at the order cap of 64
+    and past it, and at the degree cap of 512 and past it, on a few
+    divisors; and k = 8 on a quadratic with 4095-bit coefficients, whose
+    deltas pass the int-to-str limit."""
+    rng = random.Random(seed)
+    divisors = []
+    for _ in range(100):
+        top = rng.choice((1, 6))  # the largest denominator: integer or rational
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, top)) for _ in range(rng.randint(1, 6))]
+        coeffs[-1] = coeffs[-1] or Fraction(1)
+        divisors.append("[" + ", ".join(map(str, coeffs)) + "]")
+    cases = [(divisor, 1 + i % 12) for i, divisor in enumerate(divisors)]
+    for divisor in ("x^2 - x - 1", "5", "[1/2, 0, -3/4, 2]", "3x^5 - 2/7x + 1"):
+        cases += [(divisor, k) for k in (63, 64, 65, 512, 513)]
+    wide = random.Random(1)
+    cases.append(("[" + ", ".join(str(wide.getrandbits(4095) | 1) for _ in range(3)) + "]", 8))
+    return [
+        ["delta", "--divisor", divisor, "-k", str(k), "--variant", variant]
+        for divisor, k in cases
+        for variant in ("pure-closed", "pure-flipped", "pure-direct")
+    ]
+
+
+@needs_default_digit_limit
 @pytest.mark.parametrize("workload_name", sorted(DIGESTS))
 def test_replies_are_byte_identical(workload_name):
     assert replies_digest(workload_name) == DIGESTS[workload_name]
+
+
+@needs_default_digit_limit
+def test_delta_replies_are_byte_identical():
+    assert _digest(delta_argvs()) == DELTA_DIGEST
 
 
 def test_tracer_patches_and_restores_every_binding():
