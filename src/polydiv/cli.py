@@ -377,10 +377,16 @@ def _handle_report(args: argparse.Namespace) -> str:
     return report.to_json() if args.format == "json" else report.to_text()
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is a parse error; subparsers inherit the class.
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 # Built once per process; parse_args leaves the parser as it was.
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polydiv",
         description="Exact polynomial division by four routes, held to exact agreement.",
     )
@@ -415,8 +421,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         output = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

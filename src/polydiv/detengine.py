@@ -15,7 +15,7 @@ coefficient sequence (_toeplitz); the Hessenberg form is derived from W.
 
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
-the formulas it checks. Above order 4 it runs maximal_minors, one
+the formulas it checks. At every order it runs maximal_minors, one
 fraction-free elimination that yields every maximal minor of an
 r-by-(r+1) matrix at once.
 """
@@ -90,28 +90,6 @@ class ExactMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Rational:
-        return self.rows[i][j]
-
-    def leading_minor(self, k: int) -> ExactMatrix:
-        """The top-left k-by-k submatrix."""
-        if not 1 <= k <= self.order:
-            raise IndexOutOfRange(f"minor order {k} outside 1..{self.order}")
-        return ExactMatrix(tuple(row[:k] for row in self.rows[:k]))
-
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            raise IndexOutOfRange("matrix product needs equal orders")
-        cols = tuple(zip(*other.rows))
-        return ExactMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
     def __repr__(self) -> str:
         body = "; ".join(
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.rows
@@ -119,33 +97,13 @@ class ExactMatrix:
         return f"ExactMatrix({body})"
 
 
-def _det_cofactor(rows: tuple[tuple[Rational, ...], ...]) -> Rational:
-    # Textbook expansion along the first row. Exponential, so reserved
-    # for the small orders where it doubles as the hand calculation.
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(size):
-        pivot = rows[0][j]
-        if pivot == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-        term = pivot * _det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def det_oracle(matrix: ExactMatrix) -> Rational:
     """Exact determinant by brute force, independent of every closed form.
 
-    Orders up to 4 use first-row cofactor expansion, matching the hand
-    calculations the golden values came from. Larger orders take the
-    last maximal minor of the matrix bordered by a zero column, whose
-    fraction-free elimination stays exact over the integers.
+    One elimination at every order: the last maximal minor of the matrix
+    bordered by a zero column, whose fraction-free elimination stays
+    exact over the integers.
     """
-    if matrix.order <= 4:
-        return _det_cofactor(matrix.rows)
     return maximal_minors([row + (0,) for row in matrix.rows])[-1]
 
 
@@ -322,7 +280,7 @@ def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     g_{m-i}, g_{m-i+1}, ...; the constant superdiagonal is the lead
     coefficient. The last row is 0, x0^(n-m), ..., x0, 1. Derived from
     build_permuted, so the caps and refusals are W's; the tests still
-    hold it equal to anti_identity @ permuted.
+    hold it equal to the anti-identity times the permuted matrix.
     """
     return ExactMatrix(build_permuted(f, g, x0).rows[::-1])
 

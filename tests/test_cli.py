@@ -287,6 +287,27 @@ def test_main_parse_error_exit(capsys):
     assert "parse error" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["divide"], "--dividend"),
+        (["delta", "--divisor", "x", "-k", "abc"], "-k"),
+        (["divide", "--dividend", "x", "--divisor", "x", "--method", "nope"], "--method"),
+        (["frobnicate"], "command"),
+        ([], "command"),
+    ],
+    ids=["missing-option", "bad-int", "bad-choice", "unknown-subcommand", "empty"],
+)
+def test_main_usage_error_is_parse_error(capsys, argv, name):
+    # Only the prefix and the argument name: argparse words its messages
+    # differently across Python versions.
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("parse error: ")
+    assert name in out.err
+
+
 def test_main_domain_error_exit(capsys):
     assert cli.main(["divide", "--dividend", "x", "--divisor", "0"]) == 2
     out = capsys.readouterr()
