@@ -10,8 +10,10 @@ deltas) deliver the quotient one coefficient at a time. A second, pure
 family of deltas built from the divisor tail alone collapses to one term
 of the general recurrent sequence.
 
-H, the anti-identity and both delta matrices are windows of one
-coefficient sequence (_toeplitz); the Hessenberg form is derived from W.
+Every builder returns its matrix as a tuple of rows, each a tuple of
+Fraction. H, the anti-identity and both delta matrices are windows of
+one coefficient sequence (_toeplitz); the Hessenberg form is W with
+its rows and columns reordered, and no entry is converted twice.
 
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
 from .closedform import _general_terms, divide_with, t_sequence
@@ -49,6 +51,9 @@ from .polycore import (
 # loud error, not a silent stall.
 DEFAULT_MAX_ORDER = 64
 
+# A square matrix as its rows, 0-based; docstrings count from 1 where formulas do.
+_Rows = tuple[tuple[Rational, ...], ...]
+
 
 class IndexOutOfRange(PolyDivError):
     """A delta index k falls outside the range the construction defines."""
@@ -65,46 +70,17 @@ def _check_order(order: int) -> None:
         raise MatrixTooLarge(f"matrix order {order} exceeds the cap {DEFAULT_MAX_ORDER}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ExactMatrix:
-    """Immutable square matrix of rationals.
-
-    Rows are addressed 0-based in code; the docstrings of the builders
-    speak 1-based where that matches the written formulas.
-    """
-
-    __slots__ = ("rows",)
-
-    rows: tuple[tuple[Rational, ...], ...]
-
-    def __init__(self, rows: Iterable[Sequence]):
-        # Lists, not generators: resized tuples refill the tuple free lists.
-        grid = tuple([tuple([_coerce(v) for v in row]) for row in rows])
-        if not grid:
-            raise IndexOutOfRange("a matrix needs at least one row")
-        if any(len(row) != len(grid) for row in grid):
-            raise IndexOutOfRange("matrix must be square")
-        object.__setattr__(self, "rows", grid)
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.rows
-        )
-        return f"ExactMatrix({body})"
-
-
-def det_oracle(matrix: ExactMatrix) -> Rational:
-    """Exact determinant by brute force, independent of every closed form.
+def det_oracle(rows: Sequence[Sequence]) -> Rational:
+    """Exact determinant of a square matrix given as rows, by brute
+    force, independent of every closed form.
 
     One elimination at every order: the last maximal minor of the matrix
     bordered by a zero column, whose fraction-free elimination stays
-    exact over the integers.
+    exact over the integers. maximal_minors checks the input, so an
+    empty, ragged or non-square matrix raises IndexOutOfRange and a
+    float entry raises TypeError.
     """
-    return maximal_minors([row + (0,) for row in matrix.rows])[-1]
+    return maximal_minors([tuple(row) + (0,) for row in rows])[-1]
 
 
 def maximal_minors(rows: Sequence[Sequence]) -> list[Rational]:
@@ -173,25 +149,26 @@ def anti_identity_sign(t: int) -> Rational:
     return Fraction(-1) ** (t * (t - 1) // 2)
 
 
-def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> list[tuple]:
+def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> _Rows:
     """Rows 0 .. size-1 of the matrix whose entry (i, j) is
     coeffs[shift - i + j], reading 0 outside the sequence. Row i is the
     slice of one zero-padded tuple that starts at index shift - i."""
     low = shift - size + 1
+    # Lists, not generators: resized tuples refill the tuple free lists.
     padded = tuple([
         coeffs[p] if 0 <= p < len(coeffs) else Fraction(0)
         for p in range(low, low + size + width - 1)
     ])
-    return [padded[size - 1 - i : size - 1 - i + width] for i in range(size)]
+    return tuple([padded[size - 1 - i : size - 1 - i + width] for i in range(size)])
 
 
-def build_anti_identity(t: int) -> ExactMatrix:
+def build_anti_identity(t: int) -> _Rows:
     """Permutation matrix with ones on the anti-diagonal: the identity reversed."""
     _check_order(t)
-    return ExactMatrix(_toeplitz((1,), 0, t, t)[::-1])
+    return _toeplitz((Fraction(1),), 0, t, t)[::-1]
 
 
-def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
+def build_hankel(g: Polynomial, n: int) -> _Rows:
     """Coefficient matrix of the quotient system, order n - m + 1.
 
     Entry (i, j), 0-based, holds the raw divisor coefficient with index
@@ -207,7 +184,7 @@ def build_hankel(g: Polynomial, n: int) -> ExactMatrix:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
     size = n - m + 1
     _check_order(size)
-    return ExactMatrix(_toeplitz(g.coeffs, m, size, size)[::-1])
+    return _toeplitz(g.coeffs, m, size, size)[::-1]
 
 
 def hankel_det_closed(g: Polynomial, n: int) -> Rational:
@@ -235,7 +212,7 @@ def _require_division_shape(f: Polynomial, g: Polynomial) -> tuple[int, int]:
     return f.degree, g.degree
 
 
-def build_bordered(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
+def build_bordered(f: Polynomial, g: Polynomial, x0) -> _Rows:
     """The matrix W at the point x0, order t = n - m + 2.
 
     Rows 1..t-1 are the Hankel rows extended by the dividend column
@@ -247,9 +224,8 @@ def build_bordered(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
     hankel = build_hankel(g, n)
     _check_order(t)
     x0 = _coerce(x0)
-    rows = [hankel.rows[i] + (f.coeff(m + i),) for i in range(t - 1)]
-    rows.append(tuple(x0 ** (n - m - j) for j in range(t - 1)) + (Fraction(0),))
-    return ExactMatrix(rows)
+    last = tuple([x0 ** (n - m - j) for j in range(t - 1)]) + (Fraction(0),)
+    return tuple([row + (f.coeff(m + i),) for i, row in enumerate(hankel)] + [last])
 
 
 def det_W_at(f: Polynomial, g: Polynomial, x0) -> Rational:
@@ -262,27 +238,26 @@ def det_W_at(f: Polynomial, g: Polynomial, x0) -> Rational:
     return det_oracle(build_bordered(f, g, x0))
 
 
-def build_permuted(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
+def build_permuted(f: Polynomial, g: Polynomial, x0) -> _Rows:
     """W with its bottom row cycled to the top and last column to the front.
 
     Both cycles are even permutations of t - 1 transpositions each, so
     the determinant is unchanged: det(T) = det(W).
     """
-    bordered = build_bordered(f, g, x0)
-    cycled = [row[-1:] + row[:-1] for row in bordered.rows]
-    return ExactMatrix([cycled[-1]] + cycled[:-1])
+    cycled = [row[-1:] + row[:-1] for row in build_bordered(f, g, x0)]
+    return tuple([cycled[-1]] + cycled[:-1])
 
 
-def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> ExactMatrix:
+def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> _Rows:
     """Lower Hessenberg form of W: the rows of T in reverse order.
 
     Row i (0-based, i < t-1) is a_{n-i} followed by the divisor slice
     g_{m-i}, g_{m-i+1}, ...; the constant superdiagonal is the lead
-    coefficient. The last row is 0, x0^(n-m), ..., x0, 1. Derived from
-    build_permuted, so the caps and refusals are W's; the tests still
-    hold it equal to the anti-identity times the permuted matrix.
+    coefficient. The last row is 0, x0^(n-m), ..., x0, 1. The rows of
+    build_permuted reversed, so the caps and refusals are W's; the tests
+    still hold it equal to the anti-identity times the permuted matrix.
     """
-    return ExactMatrix(build_permuted(f, g, x0).rows[::-1])
+    return build_permuted(f, g, x0)[::-1]
 
 
 @dataclass(frozen=True)
@@ -300,12 +275,12 @@ class DeltaMixedSpec:
             raise IndexOutOfRange(f"delta index {self.k} outside 1..{n - m + 1}")
 
 
-def mixed_delta_matrix(spec: DeltaMixedSpec) -> ExactMatrix:
+def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
     """Explicit k-by-k matrix: column 0 holds a_n .. a_{n-k+1}, column
     j >= 1 holds the raw divisor coefficients g_{m-i+j-1}, a Toeplitz band."""
     _check_order(spec.k)
     band = _toeplitz(spec.g.coeffs, spec.g.degree, spec.k, spec.k - 1)
-    return ExactMatrix([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
+    return tuple([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
 
 def _mixed_delta_parts(
@@ -392,7 +367,7 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     t minors at once, det(H) among them, and keeps this route free of any
     closed formula.
     """
-    rows = build_bordered(f, g, 0).rows[:-1]
+    rows = build_bordered(f, g, 0)[:-1]
     t = len(rows) + 1
     minors = maximal_minors(rows)
     det_h = minors.pop()
@@ -434,7 +409,7 @@ class DeltaPureSpec:
             raise IndexOutOfRange(f"delta index must be positive, got {self.k}")
 
 
-def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> ExactMatrix:
+def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:
     """Explicit matrix behind the pure deltas.
 
     Base variant: entry (i, j), 0-based, is -c(m-1-i+j) on and below the
@@ -446,8 +421,9 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> ExactMatrix
     _check_order(spec.k)
     views = spec.views
     sgn = -1 if flipped else 1
-    coeffs = [-sgn * c for c in views.negated_tail] + [sgn * views.lead]
-    return ExactMatrix(_toeplitz(coeffs, views.degree - 1, spec.k, spec.k))
+    # A DivisorViews built by hand may hold ints or floats; convert or refuse them here.
+    coeffs = [_coerce(-sgn * c) for c in views.negated_tail] + [_coerce(sgn * views.lead)]
+    return _toeplitz(coeffs, views.degree - 1, spec.k, spec.k)
 
 
 def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Rational:

@@ -8,7 +8,6 @@ from polydiv.closedform import t_sequence
 from polydiv.detengine import (
     DeltaMixedSpec,
     DeltaPureSpec,
-    ExactMatrix,
     IndexOutOfRange,
     MatrixTooLarge,
     anti_identity_sign,
@@ -34,6 +33,7 @@ from polydiv.detengine import (
 )
 from polydiv.polycore import (
     DegreeTooSmall,
+    DivisorViews,
     Polynomial,
     divisor_views,
     evaluate,
@@ -110,8 +110,8 @@ def cofactor_det(rows):
 
 
 def matmul(a, b):
-    cols = tuple(zip(*b.rows))
-    return ExactMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows])
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 GOLDEN_F = Polynomial([0, 0, 0, 0, 1])
@@ -119,20 +119,18 @@ GOLDEN_G = Polynomial([-1, -1, 1])
 
 
 def test_det_oracle_identity():
-    eye = ExactMatrix([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     assert det_oracle(eye) == 1
 
 
 def test_det_oracle_two_by_two():
-    assert det_oracle(ExactMatrix([[-1, 1], [-1, -1]])) == 2
+    assert det_oracle([[-1, 1], [-1, -1]]) == 2
 
 
 def test_det_oracle_zero_row():
-    m = ExactMatrix([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
+    m = [[1, 2, 3], [0, 0, 0], [4, 5, 6]]
     assert det_oracle(m) == 0
-    wide = ExactMatrix(
-        [[1, 2, 3, 4, 5], [0, 0, 0, 0, 0], [2, 3, 5, 7, 11], [1, 1, 2, 3, 5], [9, 8, 7, 6, 5]]
-    )
+    wide = [[1, 2, 3, 4, 5], [0, 0, 0, 0, 0], [2, 3, 5, 7, 11], [1, 1, 2, 3, 5], [9, 8, 7, 6, 5]]
     assert det_oracle(wide) == 0
 
 
@@ -159,7 +157,7 @@ def test_det_oracle_matches_cofactor_expansion(rows):
     # Orders 1 .. 6 from every family; the -1, 0, 1 entries make row
     # swaps and singular matrices common.
     for square in struck(rows):
-        assert det_oracle(ExactMatrix(square)) == cofactor_det(square)
+        assert det_oracle(square) == cofactor_det(square)
 
 
 @given(r_by_r1_matrices())
@@ -197,19 +195,19 @@ def test_maximal_minors_rejects_bad_shapes():
         maximal_minors([[0.5, 1]])
 
 
-def test_exact_matrix_rejects_ragged_and_empty():
-    with pytest.raises(IndexOutOfRange):
-        ExactMatrix([[1, 2], [3]])
-    with pytest.raises(IndexOutOfRange):
-        ExactMatrix([])
+def test_det_oracle_rejects_non_square():
+    # Bordering makes an r-by-c input r-by-(c+1), so maximal_minors'
+    # shape check refuses every matrix that is not square.
+    ragged_or_empty = ([[1, 2], [3]], [])
+    not_square = ([[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]])
+    for rows in ragged_or_empty + not_square:
+        with pytest.raises(IndexOutOfRange):
+            det_oracle(rows)
 
 
-def test_exact_matrix_is_immutable():
-    m = ExactMatrix([[1]])
-    with pytest.raises(AttributeError):
-        m.rows = ((Fraction(2),),)
-    with pytest.raises(AttributeError):
-        m.order_cache = 1
+def test_det_oracle_rejects_floats():
+    with pytest.raises(TypeError):
+        det_oracle([[0.5]])
 
 
 def test_anti_identity_sign_small_orders():
@@ -227,13 +225,13 @@ def test_anti_identity_sign_matches_oracle(t):
 
 def test_build_hankel_golden():
     matrix = build_hankel(GOLDEN_G, 4)
-    assert matrix.rows == ExactMatrix([[-1, -1, 1], [-1, 1, 0], [1, 0, 0]]).rows
+    assert matrix == ((-1, -1, 1), (-1, 1, 0), (1, 0, 0))
 
 
 def test_build_hankel_degenerate_orders():
-    assert build_hankel(Polynomial([1, 0, 7]), 2).rows == ((Fraction(7),),)
+    assert build_hankel(Polynomial([1, 0, 7]), 2) == ((Fraction(7),),)
     monic = Polynomial([5, 4, 1])
-    assert build_hankel(monic, 3) == ExactMatrix([[4, 1], [1, 0]])
+    assert build_hankel(monic, 3) == ((4, 1), (1, 0))
 
 
 def test_build_hankel_rejects_small_target():
@@ -247,14 +245,14 @@ def test_build_hankel_shape(pair):
     n, m = f.degree, g.degree
     matrix = build_hankel(g, n)
     size = n - m + 1
-    assert matrix.order == size
+    assert len(matrix) == size
     for i in range(size):
         for j in range(size):
-            assert matrix.rows[i][j] == g.coeff(2 * m - n + i + j)
+            assert matrix[i][j] == g.coeff(2 * m - n + i + j)
             if i + j == size - 1:
-                assert matrix.rows[i][j] == g.lead
+                assert matrix[i][j] == g.lead
             elif i + j > size - 1:
-                assert matrix.rows[i][j] == 0
+                assert matrix[i][j] == 0
 
 
 def test_hankel_det_closed_golden():
@@ -300,11 +298,11 @@ def test_delta_mixed_goldens():
 
 
 def test_delta_mixed_matrix_goldens():
-    assert mixed_delta_matrix(DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=2)) == ExactMatrix(
-        [[1, 1], [0, -1]]
-    )
-    assert mixed_delta_matrix(DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=3)) == ExactMatrix(
-        [[1, 1, 0], [0, -1, 1], [0, -1, -1]]
+    assert mixed_delta_matrix(DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=2)) == ((1, 1), (0, -1))
+    assert mixed_delta_matrix(DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=3)) == (
+        (1, 1, 0),
+        (0, -1, 1),
+        (0, -1, -1),
     )
 
 
@@ -440,7 +438,7 @@ def test_hessenberg_leading_minor_is_mixed_delta_matrix(pair, x0):
     hess = build_hessenberg(f, g, x0)
     for k in range(1, f.degree - g.degree + 2):
         spec = DeltaMixedSpec(f=f, g=g, k=k)
-        assert ExactMatrix([row[:k] for row in hess.rows[:k]]) == mixed_delta_matrix(spec)
+        assert tuple(row[:k] for row in hess[:k]) == mixed_delta_matrix(spec)
 
 
 def test_pure_delta_goldens():
@@ -456,12 +454,15 @@ def test_pure_delta_goldens():
 
 def test_pure_delta_matrix_golden():
     views = divisor_views(GOLDEN_G)
-    assert pure_delta_matrix(DeltaPureSpec(views=views, k=2)) == ExactMatrix(
-        [[-1, 1], [-1, -1]]
-    )
-    assert pure_delta_matrix(DeltaPureSpec(views=views, k=2), flipped=True) == ExactMatrix(
-        [[1, -1], [1, 1]]
-    )
+    assert pure_delta_matrix(DeltaPureSpec(views=views, k=2)) == ((-1, 1), (-1, -1))
+    assert pure_delta_matrix(DeltaPureSpec(views=views, k=2), flipped=True) == ((1, -1), (1, 1))
+    # The same views built by hand from ints still give Fraction entries,
+    # and a float is refused, as for every other exact input.
+    by_hand = pure_delta_matrix(DeltaPureSpec(views=DivisorViews(lead=1, negated_tail=(1, 1)), k=2))
+    assert by_hand == ((-1, 1), (-1, -1))
+    assert all(type(v) is Fraction for row in by_hand for v in row)
+    with pytest.raises(TypeError):
+        pure_delta_matrix(DeltaPureSpec(views=DivisorViews(lead=0.5, negated_tail=(1,)), k=1))
 
 
 def test_pure_delta_zero_tail():
@@ -486,9 +487,9 @@ def test_windowed_builder_entries(pair, g, k, data):
     mixed_k = data.draw(st.integers(min_value=1, max_value=n - m + 1))
     mixed = mixed_delta_matrix(DeltaMixedSpec(f=f, g=h, k=mixed_k))
     for i in range(mixed_k):
-        assert mixed.rows[i][0] == f.coeff(n - i)
+        assert mixed[i][0] == f.coeff(n - i)
         for j in range(1, mixed_k):
-            assert mixed.rows[i][j] == h.coeff(m - i + j - 1)
+            assert mixed[i][j] == h.coeff(m - i + j - 1)
     views = divisor_views(g)
     for flipped, sgn in ((False, 1), (True, -1)):
         pure = pure_delta_matrix(DeltaPureSpec(views=views, k=k), flipped=flipped)
@@ -498,11 +499,42 @@ def test_windowed_builder_entries(pair, g, k, data):
                     expected = sgn * g.coeff(views.degree - 1 - i + j)
                 else:
                     expected = sgn * views.lead if j == i + 1 else 0
-                assert pure.rows[i][j] == expected
+                assert pure[i][j] == expected
     anti = build_anti_identity(k)
     for i in range(k):
         for j in range(k):
-            assert anti.rows[i][j] == (1 if i + j == k - 1 else 0)
+            assert anti[i][j] == (1 if i + j == k - 1 else 0)
+
+
+@given(
+    division_pairs(max_n=9),
+    divisors,
+    st.integers(min_value=1, max_value=10),
+    st.one_of(st.integers(min_value=-3, max_value=3), rationals),
+    st.data(),
+)
+@settings(max_examples=60)
+def test_builders_hand_out_canonical_rows(pair, g, k, x0, data):
+    # No constructor stands between a builder and its caller, so every
+    # builder must itself return a square tuple of tuples of Fraction.
+    f, h = pair
+    t = f.degree - h.degree + 2
+    mixed_k = data.draw(st.integers(min_value=1, max_value=t - 1))
+    views = divisor_views(g)
+    for matrix, order in (
+        (build_anti_identity(k), k),
+        (build_hankel(h, f.degree), t - 1),
+        (build_bordered(f, h, x0), t),
+        (build_permuted(f, h, x0), t),
+        (build_hessenberg(f, h, x0), t),
+        (mixed_delta_matrix(DeltaMixedSpec(f=f, g=h, k=mixed_k)), mixed_k),
+        (pure_delta_matrix(DeltaPureSpec(views=views, k=k)), k),
+        (pure_delta_matrix(DeltaPureSpec(views=views, k=k), flipped=True), k),
+    ):
+        assert type(matrix) is tuple and len(matrix) == order
+        for row in matrix:
+            assert type(row) is tuple and len(row) == order
+            assert all(type(v) is Fraction for v in row)
 
 
 @given(divisors, st.integers(min_value=1, max_value=8))
@@ -560,7 +592,3 @@ def test_matrix_order_cap():
     q = quotient_ratio(Polynomial([0] * 63 + [1]), Polynomial([0, 1]))
     assert q == Polynomial([0] * 62 + [1])
 
-
-def test_exact_matrix_rejects_floats():
-    with pytest.raises(TypeError):
-        ExactMatrix([[0.5]])
