@@ -9,6 +9,7 @@ oracle; agreement between the two routes is checked in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .polycore import (
@@ -21,7 +22,6 @@ from .polycore import (
     _clear_denominators,
     _convolve,
     _powers,
-    _recurrence,
     divisor_views,
 )
 
@@ -44,7 +44,7 @@ def s_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
 
 
 def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]]:
-    # The general recurrence over the integers. Clearing the divisor to
+    # The one integer recurrence in the package. Clearing the divisor to
     # D*g, an integer polynomial with lead L and negated tail c', gives
     # T_1 = 1 and T_r = sum of c'(m - i) * L^(i-1) * T_{r-i} over
     # i = 1 .. min(r-1, m), with t_r = D * T_r / L^r. Returns D, L, T.
@@ -53,9 +53,13 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     den, ints = _clear_denominators(views.negated_tail + (views.lead,))
     lead = ints.pop()
     m = len(ints)
-    # c'(m - i) * L^(i-1) for i = m .. 1.
+    # c'(m - i) * L^(i-1) for i = m .. 1: the last weight meets the newest term.
     back = [c * p for c, p in zip(ints, _powers(lead, m)[::-1])]
-    return den, lead, _recurrence(back, count)
+    terms = [1]
+    for s in range(1, count):
+        w = min(s, m)
+        terms.append(sum(map(mul, back[m - w:], terms[s - w:])))
+    return den, lead, terms
 
 
 def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:

@@ -6,9 +6,9 @@ dividend column and a row of powers of x gives a matrix W whose
 determinant is a scalar multiple of the quotient polynomial itself.
 Cycling and reversing the rows of W turns it into a lower Hessenberg
 matrix with constant superdiagonal, whose leading minors (the mixed
-deltas) deliver the quotient one coefficient at a time. A second, pure
-family of deltas built from the divisor tail alone collapses to one term
-of the general recurrent sequence.
+deltas) deliver the quotient one coefficient at a time. Both delta
+families read the general recurrent sequence: each mixed delta is its
+convolution with the dividend column, each pure delta one of its terms.
 
 Every builder returns its matrix as a tuple of rows, each a tuple of
 Fraction. H, the anti-identity and both delta matrices are windows of
@@ -41,7 +41,6 @@ from .polycore import (
     _coerce,
     _convolve,
     _powers,
-    _recurrence,
     divisor_views,
     evaluate,
 )
@@ -286,48 +285,36 @@ def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
 def _mixed_delta_parts(
     f: Polynomial, g: Polynomial, kmax: int
 ) -> tuple[int, list[int], list[int], list[Rational]]:
-    # First-column Laplace expansion, run as a recursion. Striking row i
-    # and column 0 from the order-k matrix leaves a block-triangular
-    # minor: an upper-left triangle of lead coefficients contributing
-    # lead^(i-1), and a lower-right band matrix in the divisor tail
-    # whose determinant G_{k-i} satisfies the same expansion one level
-    # down. The band is homogeneous of degree s in the coefficients of
-    # g, so clearing g to D*g (lead L) keeps it integral: B_s = D^s G_s,
-    # and B_s needs only the p <= m tail terms. Then
+    # First-column Laplace expansion. Striking row i and column 0 from
+    # the order-k matrix leaves a block-triangular minor: a triangle of
+    # lead coefficients giving lead^(i-1), and a band matrix in the
+    # divisor tail whose determinant G_s obeys the t-recurrence with
+    # alternating signs. Clearing g to D*g (lead L) gives
+    # D^s * G_s = (-1)^s * T_(s+1), T from _general_terms, and the signs
+    # of band and column meet as (-1)^(k-1):
     #
-    #     delta_k = D^(1-k) * sum over j of B_{k-1-j} * (-1)^j a_{n-j} L^j
+    #     delta_k = (-1)^(k-1) * D^(1-k) * sum over j of T_(k-j) * a_{n-j} L^j
     #
-    # for j = 0 .. k-1. Returns D, L^0 .. L^kmax, B_0 .. B_{kmax-1}
-    # and the values (-1)^j a_{n-j} L^j.
-    n = f.degree
-    den, ints = _clear_denominators(g.coeffs)
-    lead = ints.pop()
-    m = len(ints)
+    # for j = 0 .. k-1. Returns D, L^0 .. L^kmax, T_1 .. T_kmax and the
+    # values a_{n-j} L^j.
+    den, lead, terms = _general_terms(divisor_views(g), kmax)
     powers = _powers(lead, kmax + 1)
-    width = min(m, kmax - 1)
-    # (-1)^(p+1) * G_{m-p} * L^(p-1) for p = width .. 1.
-    back = [
-        (ints[m - p] if p % 2 == 1 else -ints[m - p]) * powers[p - 1]
-        for p in range(width, 0, -1)
-    ]
-    band = _recurrence(back, kmax)
-    values = [
-        f.coeff(n - j) * (powers[j] if j % 2 == 0 else -powers[j]) for j in range(kmax)
-    ]
-    return den, powers, band, values
+    values = [f.coeff(f.degree - j) * powers[j] for j in range(kmax)]
+    return den, powers, terms, values
 
 
 def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
-    den, _, band, values = _mixed_delta_parts(f, g, kmax)
-    return _convolve(band, values, _powers(den, kmax))
+    # (-D)^(k-1) carries both D^(k-1) and the sign (-1)^(k-1).
+    den, _, terms, values = _mixed_delta_parts(f, g, kmax)
+    return _convolve(terms, values, _powers(-den, kmax))
 
 
 def delta_mixed(spec: DeltaMixedSpec) -> Rational:
     """Determinant of the mixed delta matrix by first-column expansion.
 
-    Matrix-free: the block structure of each complementary minor reduces
-    the whole expansion to two short convolutions. The tests hold this
-    equal to det_oracle(mixed_delta_matrix(spec)).
+    Matrix-free: each complementary minor's band is a signed term of the
+    general recurrent sequence, which one convolution meets with the
+    dividend column. The tests hold this equal to det_oracle(mixed_delta_matrix(spec)).
     """
     return _mixed_deltas(spec.f, spec.g, spec.k)[-1]
 
@@ -339,16 +326,15 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
 
         d_j = (-1)^(t-j) * lead^(j+1-t) * delta_{t-j-1},
 
-    for j = 0 .. n-m. The delta indices run t-1 down to 1, so one shared
-    recursion fills them all.
+    for j = 0 .. n-m. The delta indices run t-1 down to 1, so one run of
+    the general recurrent sequence fills them all.
     """
     n, m = _require_division_shape(f, g)
     kmax = n - m + 1
-    # lead = L/D turns (-1)^(k+1) * lead^(-k) * delta_k into
-    # D * (B convolved with the values) / ((-1)^(k+1) * L^k).
-    den, powers, band, values = _mixed_delta_parts(f, g, kmax)
-    scales = [p if k % 2 == 1 else -p for k, p in enumerate(powers[1:], start=1)]
-    d = _convolve([den * b for b in band], values, scales)
+    # lead = L/D turns (-1)^(k+1) * lead^(-k) * delta_k into D * (T convolved
+    # with the values) / L^k, its sign cancelling the expansion's (-1)^(k-1).
+    den, powers, terms, values = _mixed_delta_parts(f, g, kmax)
+    d = _convolve([den * term for term in terms], values, powers[1:])
     return Polynomial(d[::-1])
 
 
@@ -421,8 +407,7 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:
     _check_order(spec.k)
     views = spec.views
     sgn = -1 if flipped else 1
-    # A DivisorViews built by hand may hold ints or floats; convert or refuse them here.
-    coeffs = [_coerce(-sgn * c) for c in views.negated_tail] + [_coerce(sgn * views.lead)]
+    coeffs = [-sgn * c for c in views.negated_tail] + [sgn * views.lead]
     return _toeplitz(coeffs, views.degree - 1, spec.k, spec.k)
 
 

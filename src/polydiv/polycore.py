@@ -136,6 +136,12 @@ class DivisorViews:
     lead: Rational
     negated_tail: tuple[Rational, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "lead", _coerce(self.lead))
+        object.__setattr__(self, "negated_tail", tuple([_coerce(c) for c in self.negated_tail]))
+        if self.lead == 0:
+            raise ZeroDivisor("a divisor's leading coefficient cannot be 0")
+
     @property
     def degree(self) -> int:
         return len(self.negated_tail)
@@ -209,17 +215,6 @@ def _convolve(
         acc = sum(map(mul, back[width - 1 - k + lo : width - 1 - k + hi], nums[lo:hi]))
         out.append(Fraction(acc, scale * den))
     return out
-
-
-def _recurrence(back: Sequence[int], count: int) -> list[int]:
-    """u_0 .. u_(count-1) of u_0 = 1, u_s = sum of back[-i] * u_(s-i)
-    over i = 1 .. min(s, len(back)): the last weight meets the newest term."""
-    width = len(back)
-    out = [1]
-    for s in range(1, count):
-        w = min(s, width)
-        out.append(sum(map(mul, back[width - w:], out[s - w:])))
-    return out[:count]
 
 
 def evaluate(p: Polynomial, x0: Scalar) -> Rational:

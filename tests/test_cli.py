@@ -1,10 +1,12 @@
 """Parsing, rendering, reports, subcommands, and the exit-code contract."""
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polydiv import cli
 from polydiv.cli import (
@@ -448,3 +450,99 @@ def test_verify_mismatch_while_route_skipped(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert "mismatch" in out.err and "det-formula" in out.err
+
+
+# The argv grammar below draws every subcommand, option and choice. At
+# most one option of an argv is spoiled: left out, or given a near-valid
+# value. Coefficients stay within 16 bits and generated degrees within 40,
+# so each example runs in milliseconds; -h/--help is left out, since
+# argparse exits 0 through SystemExit by design.
+EXIT_PREFIXES = {1: "parse error: ", 2: "error: ", 3: "mismatch: "}
+bits16 = st.integers(min_value=-(2**16), max_value=2**16)
+coefficients16 = st.builds(Fraction, bits16, st.integers(min_value=1, max_value=2**16))
+
+
+@st.composite
+def polynomial_texts(draw, edits=0):
+    coeffs = draw(st.lists(coefficients16, max_size=41))
+    if draw(st.booleans()):
+        text = render_polynomial(Polynomial(coeffs))
+    else:
+        text = "[" + ", ".join(map(str, coeffs)) + "]"
+    for _ in range(edits):
+        # One character deleted or inserted, never a digit.
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + draw(st.sampled_from("x^+-/[], −y.")) + text[at:]
+    return text
+
+
+# Each option maps to its valid values and its near-valid ones.
+TEXT = (
+    polynomial_texts(),
+    st.one_of(
+        polynomial_texts(edits=1),
+        polynomial_texts(edits=2),
+        st.sampled_from(
+            ("", " ", "0", "[]", "[1, 2", "[1/0]", "x^", "x^-1", "x^513", "1/0",
+             "2x^2 +", "+-x", "x^2 x", "3x^2 − 1", "[1, -2, 3/4]")
+        ),
+    ),
+)
+COUNT = (
+    st.integers(min_value=-2, max_value=520).map(str),
+    st.sampled_from(("", "3.5", "1e3", "0x10", "five")),
+)
+
+
+def _choice(valid):
+    return st.sampled_from(valid), st.sampled_from(("nope", "", valid[0].upper()))
+
+
+FORMAT = _choice(("text", "json"))
+SUBCOMMANDS = {
+    "divide": {
+        "--dividend": TEXT,
+        "--divisor": TEXT,
+        "--method": _choice(tuple(cli.METHODS)),
+        "--format": FORMAT,
+    },
+    "verify": {"--dividend": TEXT, "--divisor": TEXT, "--format": FORMAT},
+    "delta": {"--divisor": TEXT, "-k": COUNT, "--variant": _choice(tuple(cli.DELTAS))},
+    "sequence": {"--divisor": TEXT, "--kind": _choice(tuple(cli.SEQUENCES)), "-n": COUNT},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(tuple(SUBCOMMANDS) + ("frobnicate",)))
+    options = SUBCOMMANDS.get(command, {})
+    spoiled = draw(st.sampled_from(tuple(options))) if options and draw(st.booleans()) else None
+    left_out = draw(st.booleans())
+    argv = [command]
+    for flag in draw(st.permutations(tuple(options))):
+        if flag == spoiled and left_out:
+            continue
+        valid, near_valid = options[flag]
+        value = draw(near_valid if flag == spoiled else valid)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None)
+def test_main_over_argv_grammar(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"main exited through SystemExit({exc.code})") from None
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue() != ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(EXIT_PREFIXES[code])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from polydiv.polycore import (
     DivisionResult,
+    DivisorViews,
     Polynomial,
     ZeroDivisor,
     divisor_views,
@@ -193,6 +194,23 @@ def test_divisor_views_constant():
 def test_divisor_views_rejects_zero():
     with pytest.raises(ZeroDivisor):
         divisor_views(Polynomial())
+
+
+def test_divisor_views_built_by_hand_are_canonical():
+    views = DivisorViews(lead=2, negated_tail=(1, "1/2"))
+    assert views == divisor_views(Polynomial([-1, Fraction(-1, 2), 2]))
+    assert all(type(v) is Fraction for v in (views.lead,) + views.negated_tail)
+
+
+@pytest.mark.parametrize("lead, tail", [(0.5, (1.5, 1)), (1, (1, 0.5))])
+def test_divisor_views_reject_floats(lead, tail):
+    with pytest.raises(TypeError):
+        DivisorViews(lead=lead, negated_tail=tail)
+
+
+def test_divisor_views_reject_zero_lead():
+    with pytest.raises(ZeroDivisor):
+        DivisorViews(lead=0, negated_tail=(1, 1))
 
 
 @given(divisors)
