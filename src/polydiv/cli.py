@@ -349,6 +349,8 @@ def _check_count(flag: str, count: int) -> None:
     # The sequence and delta recurrences cost O(count * m) exact
     # operations on terms that grow with count, so the degree cap
     # bounds the count as well.
+    if count < 1:
+        raise ParseError(f"{flag} {count} is below the least count 1")
     if count > MAX_DEGREE:
         raise LimitExceeded(f"{flag} {count} exceeds the degree cap {MAX_DEGREE}")
 
@@ -383,6 +385,12 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _operand(parser: argparse.ArgumentParser, flag: str) -> None:
+    # argparse reads a separate value that starts with a minus as an option.
+    text = f"polynomial text such as x^2-x-1; give one that starts with a minus as {flag}=-x^2+1"
+    parser.add_argument(flag, required=True, help=text)
+
+
 # Built once per process; parse_args leaves the parser as it was.
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -393,26 +401,26 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     divide = sub.add_parser("divide", help="divide once with one method")
-    divide.add_argument("--dividend", required=True)
-    divide.add_argument("--divisor", required=True)
+    _operand(divide, "--dividend")
+    _operand(divide, "--divisor")
     divide.add_argument("--method", choices=tuple(METHODS), default="longdiv")
     divide.add_argument("--format", choices=("text", "json"), default="text")
     divide.set_defaults(handler=_handle_report)
 
     verify = sub.add_parser("verify", help="run all methods and compare exactly")
-    verify.add_argument("--dividend", required=True)
-    verify.add_argument("--divisor", required=True)
+    _operand(verify, "--dividend")
+    _operand(verify, "--divisor")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=_handle_report)
 
     delta = sub.add_parser("delta", help="tail determinant of one divisor")
-    delta.add_argument("--divisor", required=True)
+    _operand(delta, "--divisor")
     delta.add_argument("-k", type=int, required=True)
     delta.add_argument("--variant", choices=tuple(DELTAS), default="pure-closed")
     delta.set_defaults(handler=lambda args: cmd_delta(args.divisor, args.k, args.variant))
 
     sequence = sub.add_parser("sequence", help="terms of a divisor recurrence")
-    sequence.add_argument("--divisor", required=True)
+    _operand(sequence, "--divisor")
     sequence.add_argument("--kind", choices=tuple(SEQUENCES), required=True)
     sequence.add_argument("-n", dest="count", type=int, required=True)
     sequence.set_defaults(handler=lambda args: cmd_sequence(args.divisor, args.kind, args.count))

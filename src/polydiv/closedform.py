@@ -77,6 +77,25 @@ def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
     return tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:]))
 
 
+def _division_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
+    # The shape every formula quotient needs: g nonzero, deg f >= deg g.
+    if g.is_zero:
+        raise ZeroDivisor("cannot divide by the zero polynomial")
+    if f.is_zero or f.degree < g.degree:
+        raise DegreeTooSmall("dividend degree must reach the divisor degree")
+    return f.degree, g.degree
+
+
+def _scaled_column(
+    f: Polynomial, g: Polynomial, count: int
+) -> tuple[int, list[int], list[int], list[Rational]]:
+    # With g cleared to D*g (lead L): D, L^0 .. L^count, T_1 .. T_count
+    # and the dividend column a_{n-j} * L^j for j = 0 .. count-1.
+    den, lead, terms = _general_terms(divisor_views(g), count)
+    powers = _powers(lead, count + 1)
+    return den, powers, terms, [a * p for a, p in zip(f.coeffs[::-1], powers[:count])]
+
+
 def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient coefficients straight from the general recurrence.
 
@@ -88,23 +107,11 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     for k = 0 .. n-m. Only the top n-m+1 dividend coefficients enter, so
     perturbing any a_i with i < m cannot change the quotient.
     """
-    views = divisor_views(g)
-    if f.is_zero:
-        raise DegreeTooSmall("the zero dividend has no quotient coefficients")
-    n = f.degree
-    m = views.degree
-    if n < m:
-        raise DegreeTooSmall(f"dividend degree {n} below divisor degree {m}")
+    n, m = _division_degrees(f, g)
     # With t_r = D * T_r / L^r the sum is D/L^(k+1) times the
     # convolution of T with a_{n-j} * L^j.
-    den, lead, terms = _general_terms(views, n - m + 1)
-    powers = _powers(lead, n - m + 2)
-    a = f.coeffs
-    d = _convolve(
-        [den * term for term in terms],
-        [a[n - j] * powers[j] for j in range(n - m + 1)],
-        powers[1:],
-    )
+    den, powers, terms, values = _scaled_column(f, g, n - m + 1)
+    d = _convolve([den * term for term in terms], values, powers[1:])
     return Polynomial(d[::-1])
 
 

@@ -9,6 +9,8 @@ matrix with constant superdiagonal, whose leading minors (the mixed
 deltas) deliver the quotient one coefficient at a time. Both delta
 families read the general recurrent sequence: each mixed delta is its
 convolution with the dividend column, each pure delta one of its terms.
+The column, the sequence and the shape check come from closedform
+(_scaled_column, _division_degrees), shared with the closed quotient.
 
 Every builder returns its matrix as a tuple of rows, each a tuple of
 Fraction. H, the anti-identity and both delta matrices are windows of
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .closedform import _division_degrees, _general_terms, _scaled_column, divide_with
 # t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
-from .closedform import _general_terms, divide_with, t_sequence
+from .closedform import t_sequence
 from .polycore import (
     DegreeTooSmall,
     DivisionResult,
@@ -36,7 +39,6 @@ from .polycore import (
     Polynomial,
     PolyDivError,
     Rational,
-    ZeroDivisor,
     _clear_denominators,
     _coerce,
     _convolve,
@@ -202,13 +204,10 @@ def hankel_det_closed(g: Polynomial, n: int) -> Rational:
 
 
 def _require_division_shape(f: Polynomial, g: Polynomial) -> tuple[int, int]:
-    if g.is_zero:
-        raise ZeroDivisor("cannot divide by the zero polynomial")
-    if g.degree < 1:
+    n, m = _division_degrees(f, g)
+    if m < 1:
         raise DegreeTooSmall("divisor must have degree at least 1 here")
-    if f.is_zero or f.degree < g.degree:
-        raise DegreeTooSmall("dividend degree must reach the divisor degree")
-    return f.degree, g.degree
+    return n, m
 
 
 def build_bordered(f: Polynomial, g: Polynomial, x0) -> _Rows:
@@ -282,9 +281,7 @@ def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
     return tuple([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
 
-def _mixed_delta_parts(
-    f: Polynomial, g: Polynomial, kmax: int
-) -> tuple[int, list[int], list[int], list[Rational]]:
+def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
     # First-column Laplace expansion. Striking row i and column 0 from
     # the order-k matrix leaves a block-triangular minor: a triangle of
     # lead coefficients giving lead^(i-1), and a band matrix in the
@@ -295,17 +292,8 @@ def _mixed_delta_parts(
     #
     #     delta_k = (-1)^(k-1) * D^(1-k) * sum over j of T_(k-j) * a_{n-j} L^j
     #
-    # for j = 0 .. k-1. Returns D, L^0 .. L^kmax, T_1 .. T_kmax and the
-    # values a_{n-j} L^j.
-    den, lead, terms = _general_terms(divisor_views(g), kmax)
-    powers = _powers(lead, kmax + 1)
-    values = [f.coeff(f.degree - j) * powers[j] for j in range(kmax)]
-    return den, powers, terms, values
-
-
-def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
-    # (-D)^(k-1) carries both D^(k-1) and the sign (-1)^(k-1).
-    den, _, terms, values = _mixed_delta_parts(f, g, kmax)
+    # for j = 0 .. k-1; (-D)^(k-1) carries both D^(k-1) and the sign.
+    den, _, terms, values = _scaled_column(f, g, kmax)
     return _convolve(terms, values, _powers(-den, kmax))
 
 
@@ -330,10 +318,9 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
     the general recurrent sequence fills them all.
     """
     n, m = _require_division_shape(f, g)
-    kmax = n - m + 1
     # lead = L/D turns (-1)^(k+1) * lead^(-k) * delta_k into D * (T convolved
     # with the values) / L^k, its sign cancelling the expansion's (-1)^(k-1).
-    den, powers, terms, values = _mixed_delta_parts(f, g, kmax)
+    den, powers, terms, values = _scaled_column(f, g, n - m + 1)
     d = _convolve([den * term for term in terms], values, powers[1:])
     return Polynomial(d[::-1])
 

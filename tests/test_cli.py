@@ -310,6 +310,26 @@ def test_main_usage_error_is_parse_error(capsys, argv, name):
     assert name in out.err
 
 
+@pytest.mark.parametrize(
+    "divisor, code, stdout, stderr",
+    [
+        ("x-1", 0, "quotient: x + 1\nremainder: 0\n", ""),
+        ("0", 2, "", "error: cannot divide by the zero polynomial\n"),
+    ],
+    ids=["success", "domain-error"],
+)
+def test_console_entry_point_exits_with_main_code(
+    capsys, monkeypatch, divisor, code, stdout, stderr
+):
+    # run is the console script that pyproject.toml installs as polydiv.
+    argv = ["polydiv", "divide", "--dividend", "x^2-1", "--divisor", divisor]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == (stdout, stderr)
+
+
 def test_main_domain_error_exit(capsys):
     assert cli.main(["divide", "--dividend", "x", "--divisor", "0"]) == 2
     out = capsys.readouterr()
@@ -405,6 +425,11 @@ def test_counts_capped_at_degree_cap(capsys, monkeypatch, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"parse error: {argv[-1]} 9 exceeds the degree cap 8\n"
+    for count in ("0", "-1"):
+        assert cli.main(argv + [count]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"parse error: {argv[-1]} {count} is below the least count 1\n"
 
 
 def test_verify_small_dividend_trivial_agreement(capsys):

@@ -135,10 +135,15 @@ def test_quotient_closed_self_division(g):
 
 
 def test_quotient_closed_requires_degree():
-    with pytest.raises(DegreeTooSmall):
+    # The message pins the shared guard: past it, the recurrence would
+    # refuse a count below 1 with a DegreeTooSmall of its own.
+    reach = "dividend degree must reach the divisor degree"
+    with pytest.raises(DegreeTooSmall, match=reach):
         quotient_closed(Polynomial([1, 1]), Polynomial([0, 0, 1]))
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(DegreeTooSmall, match=reach):
         quotient_closed(Polynomial(), Polynomial([0, 1]))
+    with pytest.raises(ZeroDivisor, match="cannot divide by the zero polynomial"):
+        quotient_closed(Polynomial([1, 1]), Polynomial())
 
 
 def test_remainder_closed_golden_quartic():

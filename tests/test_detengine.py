@@ -284,10 +284,15 @@ def test_det_W_at_self_division(g, x0):
 
 
 def test_det_W_at_requires_shape():
-    with pytest.raises(DegreeTooSmall):
+    # The messages pin the shared guard: past it, build_hankel would
+    # refuse the first shape with a DegreeTooSmall of its own.
+    with pytest.raises(DegreeTooSmall, match="dividend degree must reach the divisor degree"):
         det_W_at(Polynomial([1, 1]), Polynomial([0, 0, 1]), 0)
-    with pytest.raises(DegreeTooSmall):
+    least = "divisor must have degree at least 1"
+    with pytest.raises(DegreeTooSmall, match=least):
         det_W_at(GOLDEN_F, Polynomial([3]), 0)
+    with pytest.raises(DegreeTooSmall, match=least):
+        quotient_from_dets(GOLDEN_F, Polynomial([3]))
 
 
 def test_delta_mixed_goldens():
