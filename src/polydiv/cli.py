@@ -68,7 +68,7 @@ class OutputTooLarge(PolyDivError):
     """A result value has too many decimal digits to print."""
 
 
-def _check_coefficient(value: Fraction, column: int | None = None) -> Fraction:
+def _check_coefficient(value: Fraction | int, column: int | None = None) -> Fraction | int:
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     if bits > MAX_COEFF_BITS:
         raise LimitExceeded(
@@ -84,12 +84,13 @@ _RATIONAL_RE = re.compile(r"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?")
 _TERM_RE = re.compile(
     r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*)?(?P<var>x(?:\s*\^\s*(?P<exp>[+-]?\d+))?)?"
 )
+# Regex \s accepts exactly the code points str.isspace() accepts
+# (test_skip_ws_agrees_with_isspace).
+_WS_RE = re.compile(r"\s*")
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+    return _WS_RE.match(text, pos).end()
 
 
 def _rational(match: re.Match, column: int) -> Fraction:
@@ -153,7 +154,7 @@ def parse_polynomial(text: str) -> Polynomial:
     if src[pos] == "[":
         return _parse_list(src)
 
-    powers: dict[int, Fraction] = {}
+    powers: dict[int, int | Fraction] = {}
     first = True
     while pos < len(src):
         sign = 1
@@ -166,7 +167,13 @@ def parse_polynomial(text: str) -> Polynomial:
         if match is None or match.end() == pos:
             raise ParseError("expected a term", column=pos + 1)
         column = pos + 1
-        coeff = Fraction(1) if match.group("num") is None else _rational(match, column)
+        # One Fraction per term, and only for a term with a denominator.
+        if match.group("den") is not None:
+            coeff = _rational(match, column)
+        elif match.group("num") is not None:
+            coeff = int(match.group("num"))
+        else:
+            coeff = 1
         if match.group("var") is not None:
             exp = int(match.group("exp")) if match.group("exp") else 1
             if exp < 0:
@@ -176,12 +183,12 @@ def parse_polynomial(text: str) -> Polynomial:
         else:
             exp = 0
         _check_coefficient(coeff, column)
-        powers[exp] = powers.get(exp, Fraction(0)) + sign * coeff
+        powers[exp] = powers.get(exp, 0) + (coeff if sign > 0 else -coeff)
         first = False
         pos = _skip_ws(src, match.end())
 
     top = max(powers)
-    coeffs = [powers.get(i, Fraction(0)) for i in range(top + 1)]
+    coeffs = [powers.get(i, 0) for i in range(top + 1)]
     for i, value in enumerate(coeffs):
         _check_coefficient(value)
     return Polynomial(coeffs)

@@ -227,11 +227,17 @@ def evaluate(p: Polynomial, x0: Scalar) -> Rational:
 
 
 def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
-    """Schoolbook Euclidean division of f by a nonzero g.
+    """Euclidean division of f by a nonzero g, fraction-free.
 
     Returns the unique (q, r) with f = g*q + r and r either zero or of
     degree strictly below deg g. This is the ground-truth oracle that the
     closed-form and determinant routes are checked against.
+
+    Pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): g is cleared once to
+    D*g, with integer coefficients and lead L. The m+1 working remainder
+    entries are integer numerators over one running scale, each dividend
+    coefficient is scaled once as it enters that window, and each output
+    coefficient is normalised as one Fraction.
     """
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
@@ -239,17 +245,31 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
     if f.is_zero or f.degree < m:
         return DivisionResult(quotient=Polynomial(), remainder=f)
 
-    lead = g.lead
-    rem = list(f.coeffs)
-    q = [Fraction(0)] * (f.degree - m + 1)
-    for k in range(f.degree - m, -1, -1):
-        coef = rem[k + m] / lead
-        q[k] = coef
-        if coef == 0:
-            continue
-        for i, gi in enumerate(g.coeffs):
-            rem[k + i] -= coef * gi
-    return DivisionResult(quotient=Polynomial(q), remainder=Polynomial(rem[:m]))
+    den, cleared = _clear_denominators(g.coeffs[::-1])
+    lead, tail = cleared[0], cleared[1:]
+    # The working remainder, highest power first, as numerators over scale.
+    window: list[int] = []
+    scale = 1
+    q = []
+    for a in reversed(f.coeffs):
+        d = a.denominator
+        if scale % d:
+            grow = d // math.gcd(scale, d)
+            scale *= grow
+            window = [w * grow for w in window]
+        window.append(a.numerator * (scale // d))
+        if len(window) > m:
+            top = window[0]
+            q.append(Fraction(top * den, scale * lead))
+            if top:
+                window = [lead * w - top * c for w, c in zip(window[1:], tail)]
+                scale *= lead
+            else:
+                del window[0]
+    return DivisionResult(
+        quotient=Polynomial(q[::-1]),
+        remainder=Polynomial([Fraction(w, scale) for w in reversed(window)]),
+    )
 
 
 def monic_reduction(f: Polynomial, g: Polynomial) -> DivisionResult:

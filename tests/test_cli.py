@@ -90,6 +90,14 @@ def test_text_after_coefficient_list():
     assert parse_polynomial(" [1, 2]  ") == Polynomial([1, 2])
 
 
+def test_skip_ws_agrees_with_isspace():
+    # _skip_ws matches a run of regex \s; the parser's columns rely on it
+    # skipping exactly what str.isspace() calls whitespace.
+    differ = [c for c in map(chr, range(0x110000)) if cli._skip_ws(c, 0) != c.isspace()]
+    assert differ == []
+    assert cli._skip_ws("x \t\u3000\u2028y", 1) == 5
+
+
 def test_degree_cap_enforced():
     with pytest.raises(LimitExceeded):
         parse_polynomial("x^513")

@@ -14,9 +14,28 @@ from polydiv.polycore import (
     long_divide,
     monic_reduction,
 )
-from strategies import divisors, polys, rationals, wide_divisors, wide_polys, wide_rationals
+from strategies import division_pairs, divisors, polys, rationals, wide_divisors, wide_polys, wide_rationals
 
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+def schoolbook_divide(f, g):
+    """Euclidean division with one Fraction operation per divisor
+    coefficient per step: the reference long_divide is held to."""
+    m = g.degree
+    if f.is_zero or f.degree < m:
+        return DivisionResult(quotient=Polynomial(), remainder=f)
+    lead = g.lead
+    rem = list(f.coeffs)
+    q = [Fraction(0)] * (f.degree - m + 1)
+    for k in range(f.degree - m, -1, -1):
+        coef = rem[k + m] / lead
+        q[k] = coef
+        if coef == 0:
+            continue
+        for i, gi in enumerate(g.coeffs):
+            rem[k + i] -= coef * gi
+    return DivisionResult(quotient=Polynomial(q), remainder=Polynomial(rem[:m]))
 
 
 def test_normalize_strips_trailing_zeros():
@@ -98,6 +117,24 @@ def test_long_divide_golden_quartic():
 def test_long_divide_rejects_zero_divisor():
     with pytest.raises(ZeroDivisor):
         long_divide(Polynomial([1]), Polynomial())
+
+
+@given(polys, divisors)
+def test_long_divide_matches_schoolbook(f, g):
+    # Constant divisors included: the window is then the top entry alone.
+    expected = schoolbook_divide(f, g)
+    assert long_divide(f, g) == expected
+    assert monic_reduction(f, g) == expected
+
+
+@given(division_pairs(max_n=29))
+def test_long_divide_matches_schoolbook_on_long_quotients(pair):
+    # n - m up to 28: long runs of lead powers in the running scale, and
+    # with wide rationals a new dividend denominator at almost every step.
+    f, g = pair
+    expected = schoolbook_divide(f, g)
+    assert long_divide(f, g) == expected
+    assert monic_reduction(f, g) == expected
 
 
 @given(polys, divisors)
