@@ -6,11 +6,11 @@ dividend column and a row of powers of x gives a matrix W whose
 determinant is a scalar multiple of the quotient polynomial itself.
 Cycling and reversing the rows of W turns it into a lower Hessenberg
 matrix with constant superdiagonal, whose leading minors (the mixed
-deltas) deliver the quotient one coefficient at a time. Both delta
-families read the general recurrent sequence: each mixed delta is its
-convolution with the dividend column, each pure delta one of its terms.
-The column, the sequence and the shape check come from closedform
-(_scaled_column, _division_degrees), shared with the closed quotient.
+deltas), signed and scaled by lead powers, are the quotient coefficients.
+Both delta families read the general recurrent sequence: each mixed
+delta is its convolution with the dividend column, each pure delta one
+of its terms. The column, the sequence and the shape check come from
+closedform (_scaled_column, _division_degrees).
 
 Every builder returns its matrix as a tuple of rows, each a tuple of
 Fraction. H, the anti-identity and both delta matrices are windows of
@@ -308,21 +308,20 @@ def delta_mixed(spec: DeltaMixedSpec) -> Rational:
 
 
 def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient assembled from the mixed deltas.
+    """Quotient read off the mixed deltas by the paper's formula.
 
     With t = n - m + 2, coefficient j of the quotient is
 
         d_j = (-1)^(t-j) * lead^(j+1-t) * delta_{t-j-1},
 
-    for j = 0 .. n-m. The delta indices run t-1 down to 1, so one run of
-    the general recurrent sequence fills them all.
+    for j = 0 .. n-m. The delta indices run t-1 down to 1, so one call
+    of the mixed-delta kernel, _mixed_deltas, fills them all.
     """
     n, m = _require_division_shape(f, g)
-    # lead = L/D turns (-1)^(k+1) * lead^(-k) * delta_k into D * (T convolved
-    # with the values) / L^k, its sign cancelling the expansion's (-1)^(k-1).
-    den, powers, terms, values = _scaled_column(f, g, n - m + 1)
-    d = _convolve([den * term for term in terms], values, powers[1:])
-    return Polynomial(d[::-1])
+    count = n - m + 1
+    # With k = t-j-1 the factor is -(-1/lead)^k, for k = 1 .. count.
+    scales = _powers(-1 / g.lead, count + 1)[1:]
+    return Polynomial([-s * delta for s, delta in zip(scales, _mixed_deltas(f, g, count))][::-1])
 
 
 def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:

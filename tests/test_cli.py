@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiv import cli
+from polydiv import cli, detengine
 from polydiv.cli import (
     LimitExceeded,
     Mismatch,
@@ -20,7 +20,7 @@ from polydiv.cli import (
     parse_polynomial,
     render_polynomial,
 )
-from polydiv.polycore import DivisionResult, Polynomial, ZeroDivisor, long_divide
+from polydiv.polycore import DegreeTooSmall, DivisionResult, Polynomial, ZeroDivisor, long_divide
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=8).map(Polynomial)
@@ -132,13 +132,15 @@ def test_coefficient_bit_cap():
     ids=["coefficient", "exponent", "denominator", "list-entry"],
 )
 def test_long_digit_run_is_refused(capsys, dividend, column):
-    # 5000 digits is past CPython's default int-to-str limit of 4300.
-    argv = ["divide", "--dividend", dividend.format(run="9" * 5000), "--divisor", "x-1"]
-    assert cli.main(argv) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert f"column {column}: digit run of 5000 digits, cap is {cli.MAX_DIGITS}" in out.err
-    assert "Traceback" not in out.err
+    # One digit past the cap, and 5000 digits, past CPython's default
+    # int-to-str limit of 4300.
+    for digits in (cli.MAX_DIGITS + 1, 5000):
+        argv = ["divide", "--dividend", dividend.format(run="9" * digits), "--divisor", "x-1"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"column {column}: digit run of {digits} digits, cap is {cli.MAX_DIGITS}" in out.err
+        assert "Traceback" not in out.err
 
 
 def test_digit_cap_covers_every_value_within_bit_cap():
@@ -483,6 +485,34 @@ def test_verify_mismatch_while_route_skipped(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert "mismatch" in out.err and "det-formula" in out.err
+
+
+def test_verify_ends_on_a_route_error_other_than_the_cap(capsys, monkeypatch):
+    # Only the matrix cap skips a route; any other domain error ends verify.
+    def failing(f, g):
+        raise DegreeTooSmall("boom")
+
+    monkeypatch.setitem(cli.METHODS, "closed", failing)
+    assert cli.main(["verify", "--dividend", "x^4", "--divisor", "x^2-x-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: boom\n"
+
+
+def test_verify_holds_det_formula_to_mixed_deltas(capsys, monkeypatch):
+    kernel = detengine._mixed_deltas
+
+    def sign_flipped(f, g, kmax):
+        return [(-1) ** k * delta for k, delta in enumerate(kernel(f, g, kmax))]
+
+    monkeypatch.setattr(detengine, "_mixed_deltas", sign_flipped)
+    assert cli.main(["verify", "--dividend", "x^5+2x^3+x+7", "--divisor", "2x^2-x-1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "mismatch: method det-formula disagrees with longdiv: "
+        "quotient coefficient of x^0 is -13/16, expected 13/16\n"
+    )
 
 
 # The argv grammar below draws every subcommand, option and choice. At

@@ -175,6 +175,12 @@ def test_reconstructs_rejects_any_single_change(f, g, change):
         assert not DivisionResult(result.quotient, moved).reconstructs(f, g)
 
 
+def test_reconstructs_refuses_zero_divisor():
+    # 0 * 0 + f == f holds, but no remainder degree is below a zero divisor's.
+    f = Polynomial([1, 2])
+    assert not DivisionResult(Polynomial(), f).reconstructs(f, Polynomial())
+
+
 def test_monic_reduction_examples():
     result = monic_reduction(Polynomial([0, 0, 2]), Polynomial([-2, 2]))
     assert result.quotient == Polynomial([1, 1])
