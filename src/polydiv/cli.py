@@ -12,8 +12,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .closedform import divide_closed, s_sequence, t_sequence
 from .detengine import (
@@ -232,8 +232,7 @@ def _coeff_strings(p: Polynomial) -> tuple[str, ...]:
     return tuple(_exact_str(c) for c in p.coeffs)
 
 
-@dataclass(frozen=True)
-class DivisionReport:
+class DivisionReport(NamedTuple):
     """One division outcome. ``quotient`` and ``remainder`` give its
     coefficients ascending, each an exact "num/den" or "num" string,
     derived from ``result`` when read."""

@@ -25,9 +25,8 @@ r-by-(r+1) matrix at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .closedform import _division_degrees, _general_terms, _scaled_column, divide_with
 # t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
@@ -258,19 +257,19 @@ def build_hessenberg(f: Polynomial, g: Polynomial, x0) -> _Rows:
     return build_permuted(f, g, x0)[::-1]
 
 
-@dataclass(frozen=True)
-class DeltaMixedSpec:
+class DeltaMixedSpec(NamedTuple("DeltaMixedSpec", [("f", Polynomial), ("g", Polynomial), ("k", int)])):
     """Order-k leading minor of the Hessenberg form: dividend column plus
     shifted raw divisor columns."""
 
-    f: Polynomial
-    g: Polynomial
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, m = _require_division_shape(self.f, self.g)
-        if not 1 <= self.k <= n - m + 1:
-            raise IndexOutOfRange(f"delta index {self.k} outside 1..{n - m + 1}")
+    def __new__(cls, f: Polynomial, g: Polynomial, k: int):
+        n, m = _require_division_shape(f, g)
+        if not 1 <= k <= n - m + 1:
+            raise IndexOutOfRange(f"delta index {k} outside 1..{n - m + 1}")
+        return super().__new__(cls, f, g, k)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
@@ -363,8 +362,7 @@ def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:
     return evaluate(Polynomial(deltas[::-1]), -_coerce(x0) * g.lead)
 
 
-@dataclass(frozen=True)
-class DeltaPureSpec:
+class DeltaPureSpec(NamedTuple("DeltaPureSpec", [("views", DivisorViews), ("k", int)])):
     """Order-k determinant built from the divisor tail alone.
 
     The matrix is lower Hessenberg-Toeplitz: row i (1-based) holds the
@@ -373,12 +371,14 @@ class DeltaPureSpec:
     indices read 0, so k may exceed the divisor degree.
     """
 
-    views: DivisorViews
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise IndexOutOfRange(f"delta index must be positive, got {self.k}")
+    def __new__(cls, views: DivisorViews, k: int):
+        if k < 1:
+            raise IndexOutOfRange(f"delta index must be positive, got {k}")
+        return super().__new__(cls, views, k)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:

@@ -9,10 +9,9 @@ and its degree is None rather than a sentinel integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 # The coefficient field. Fraction is already canonical (reduced form,
 # positive denominator) and exact, which is all the package relies on.
@@ -42,7 +41,6 @@ def _coerce(value: Scalar) -> Rational:
     return Fraction(value)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """Immutable dense polynomial over the rationals.
 
@@ -121,9 +119,19 @@ class Polynomial:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"Polynomial([{inner}])"
 
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if isinstance(other, Polynomial) else NotImplemented
 
-@dataclass(frozen=True)
-class DivisorViews:
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def _frozen(self, *args: object) -> None:
+        raise AttributeError("Polynomial is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class DivisorViews(NamedTuple("DivisorViews", [("lead", Rational), ("negated_tail", tuple)])):
     """The view of one nonzero divisor g of degree m that every
     recurrence and closed formula in this package reads: the leading
     coefficient ``lead`` and ``negated_tail``, which holds -g_i for i < m.
@@ -133,22 +141,23 @@ class DivisorViews:
     leading term.
     """
 
-    lead: Rational
-    negated_tail: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lead", _coerce(self.lead))
-        object.__setattr__(self, "negated_tail", tuple([_coerce(c) for c in self.negated_tail]))
-        if self.lead == 0:
+    def __new__(cls, lead: Scalar, negated_tail: Iterable[Scalar]):
+        lead, tail = _coerce(lead), tuple([_coerce(c) for c in negated_tail])
+        if lead == 0:
             raise ZeroDivisor("a divisor's leading coefficient cannot be 0")
+        return super().__new__(cls, lead, tail)
+
+    # _replace builds through _make; send it through the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def degree(self) -> int:
         return len(self.negated_tail)
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(NamedTuple):
     """Quotient/remainder pair; unique for a given dividend and divisor."""
 
     quotient: Polynomial

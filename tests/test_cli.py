@@ -2,8 +2,10 @@
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +340,24 @@ def test_console_entry_point_exits_with_main_code(
         cli.run()
     assert exit_info.value.code == code
     assert capsys.readouterr() == (stdout, stderr)
+
+
+def test_cold_start_imports_no_dataclasses():
+    # The set-up request every command-line call pays for, in a fresh
+    # interpreter: dataclasses drags in inspect, ast, dis and tokenize.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from polydiv import cli; "
+        "code = cli.main(sys.argv[2:]); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); sys.exit(code)"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    argv = ["divide", "--dividend", "x^4", "--divisor", "x^2-x-1"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "quotient: x^2 + x + 2\nremainder: 3x + 2\n[]\n"
 
 
 def test_main_domain_error_exit(capsys):

@@ -312,10 +312,12 @@ def test_delta_mixed_matrix_goldens():
 
 
 def test_delta_mixed_rejects_bad_index():
-    with pytest.raises(IndexOutOfRange):
-        DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=0)
-    with pytest.raises(IndexOutOfRange):
-        DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=4)
+    valid = DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=1)
+    for k in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            DeltaMixedSpec(f=GOLDEN_F, g=GOLDEN_G, k=k)
+        with pytest.raises(IndexOutOfRange):
+            valid._replace(k=k)
 
 
 @given(division_pairs(max_n=8))
@@ -481,6 +483,8 @@ def test_pure_delta_zero_tail():
 def test_pure_delta_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         DeltaPureSpec(views=divisor_views(GOLDEN_G), k=0)
+    with pytest.raises(IndexOutOfRange):
+        DeltaPureSpec(views=divisor_views(GOLDEN_G), k=1)._replace(k=0)
 
 
 @given(division_pairs(max_n=9), divisors, st.integers(min_value=1, max_value=10), st.data())

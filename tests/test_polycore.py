@@ -249,11 +249,15 @@ def test_divisor_views_built_by_hand_are_canonical():
 def test_divisor_views_reject_floats(lead, tail):
     with pytest.raises(TypeError):
         DivisorViews(lead=lead, negated_tail=tail)
+    with pytest.raises(TypeError):
+        DivisorViews(lead=1, negated_tail=(1,))._replace(lead=lead, negated_tail=tail)
 
 
 def test_divisor_views_reject_zero_lead():
     with pytest.raises(ZeroDivisor):
         DivisorViews(lead=0, negated_tail=(1, 1))
+    with pytest.raises(ZeroDivisor):
+        DivisorViews(lead=1, negated_tail=(1, 1))._replace(lead=0)
 
 
 @given(divisors)

@@ -1,0 +1,180 @@
+"""Mutation check: each mutant in MUTANTS must fail the tests named for it.
+
+    python3 tools/mutants.py
+
+Run from anywhere; stdlib only, besides the pytest and hypothesis that
+Tier-1 needs. Each mutant replaces one exact text, which must occur
+once in its file, in a fresh temporary copy of the checkout, and runs
+its tests there with ``-x`` and a fixed hypothesis seed. The tests are
+first run on an unmutated copy, so a failure is the mutant's doing. The
+exit status is 1 if any mutant survives or its text is no longer found.
+A change to a kernel or a refusal path adds its mutants to the table.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "digit run cap off by one",
+        "src/polydiv/cli.py",
+        "% (MAX_DIGITS + 1))",
+        "% (MAX_DIGITS + 2))",
+        ("tests/test_cli.py::test_long_digit_run_is_refused",),
+    ),
+    Mutant(
+        "coefficient bit cap off by one",
+        "src/polydiv/cli.py",
+        "if bits > MAX_COEFF_BITS:",
+        "if bits > MAX_COEFF_BITS + 1:",
+        ("tests/test_cli.py::test_coefficient_bit_cap",),
+    ),
+    Mutant(
+        "verify skips a route on any domain error",
+        "src/polydiv/cli.py",
+        "except MatrixTooLarge as exc:",
+        "except PolyDivError as exc:",
+        ("tests/test_cli.py::test_verify_ends_on_a_route_error_other_than_the_cap",),
+    ),
+    Mutant(
+        "matrix order cap off by one",
+        "src/polydiv/detengine.py",
+        "if order > DEFAULT_MAX_ORDER:",
+        "if order > DEFAULT_MAX_ORDER + 1:",
+        ("tests/test_detengine.py::test_matrix_order_cap",),
+    ),
+    Mutant(
+        "maximal_minors without the row-swap sign",
+        "src/polydiv/detengine.py",
+        "            sign = -sign\n",
+        "",
+        ("tests/test_detengine.py::test_maximal_minors_match_oracle",),
+    ),
+    Mutant(
+        "mixed deltas without their alternating sign",
+        "src/polydiv/detengine.py",
+        "_powers(-den, kmax)",
+        "_powers(den, kmax)",
+        (
+            "tests/test_detengine.py::test_delta_mixed_goldens",
+            "tests/test_cli.py::test_verify_holds_det_formula_to_mixed_deltas",
+        ),
+    ),
+    Mutant(
+        "reconstructs without the zero-divisor guard",
+        "src/polydiv/polycore.py",
+        "        if divisor.is_zero:\n            return False\n",
+        "",
+        ("tests/test_polycore.py::test_reconstructs_refuses_zero_divisor",),
+    ),
+    Mutant(
+        "reconstructs allows a remainder of the divisor's degree",
+        "src/polydiv/polycore.py",
+        "self.remainder.degree < divisor.degree",
+        "self.remainder.degree <= divisor.degree",
+        ("tests/test_polycore.py::test_division_result_unique",),
+    ),
+    Mutant(
+        "DivisorViews._replace skips the checks",
+        "src/polydiv/polycore.py",
+        "    _make = classmethod(lambda cls, values: cls(*values))\n",
+        "",
+        (
+            "tests/test_polycore.py::test_divisor_views_reject_floats",
+            "tests/test_polycore.py::test_divisor_views_reject_zero_lead",
+        ),
+    ),
+    Mutant(
+        "DeltaMixedSpec._replace skips the checks",
+        "src/polydiv/detengine.py",
+        "    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too\n",
+        "",
+        ("tests/test_detengine.py::test_delta_mixed_rejects_bad_index",),
+    ),
+    Mutant(
+        "DeltaPureSpec._replace skips the checks",
+        "src/polydiv/detengine.py",
+        "    _make = classmethod(lambda cls, values: cls(*values))\n",
+        "",
+        ("tests/test_detengine.py::test_pure_delta_rejects_bad_index",),
+    ),
+    Mutant(
+        "Polynomial fields can be assigned",
+        "src/polydiv/polycore.py",
+        "    __setattr__ = __delattr__ = _frozen\n",
+        "    __delattr__ = _frozen\n",
+        ("tests/test_polycore.py::test_polynomial_immutable",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+            shutil.copytree(source, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _run_tests(tree: Path, tests) -> int:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [*PYTEST, *tests], cwd=tree, env=env, capture_output=True, text=True, timeout=600
+    )
+    return proc.returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    with tempfile.TemporaryDirectory(prefix="polydiv-mutants-") as scratch:
+        baseline = Path(scratch) / "baseline"
+        _copy(baseline)
+        code = _run_tests(baseline, every_test)
+        if code != 0:
+            print(f"the named tests fail without a mutant (pytest exit {code})")
+            return 1
+        bad = 0
+        for i, mutant in enumerate(MUTANTS):
+            tree = Path(scratch) / f"mutant{i}"
+            _copy(tree)
+            target = tree / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                print(f"STALE     {mutant.name}: its text occurs {text.count(mutant.old)} times")
+                bad += 1
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new))
+            code = _run_tests(tree, mutant.tests)
+            # pytest exits 1 when a test failed; other codes are usage errors.
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            print(f"{verdict:<9} {mutant.name}")
+            bad += verdict != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
