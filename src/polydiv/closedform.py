@@ -78,7 +78,7 @@ def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
 
 
 def _division_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
-    # The shape every formula quotient needs: g nonzero, deg f >= deg g.
+    # The shape every formula and determinant builder needs: g nonzero, deg f >= deg g.
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     if f.is_zero or f.degree < g.degree:
@@ -136,8 +136,8 @@ def divide_with(
     """Full division of f by a nonzero g with quotient(f, g) as the
     quotient formula and remainder_closed as the remainder formula.
 
-    The shapes no formula covers are settled here: a dividend of lower
-    degree is its own remainder, and a constant divisor only scales.
+    Lower dividends are their own remainder. A constant divisor only scales,
+    as every formula would, but faster and clear of det-ratio's order cap.
     """
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")

@@ -202,20 +202,13 @@ def hankel_det_closed(g: Polynomial, n: int) -> Rational:
     return anti_identity_sign(t - 1) * views.lead ** (t - 1)
 
 
-def _require_division_shape(f: Polynomial, g: Polynomial) -> tuple[int, int]:
-    n, m = _division_degrees(f, g)
-    if m < 1:
-        raise DegreeTooSmall("divisor must have degree at least 1 here")
-    return n, m
-
-
 def build_bordered(f: Polynomial, g: Polynomial, x0) -> _Rows:
     """The matrix W at the point x0, order t = n - m + 2.
 
     Rows 1..t-1 are the Hankel rows extended by the dividend column
     a_m .. a_n; the last row is x0^(n-m), ..., x0, 1, 0.
     """
-    n, m = _require_division_shape(f, g)
+    n, m = _division_degrees(f, g)
     t = n - m + 2
     # H first, so a refusal names the smaller matrix past the cap.
     hankel = build_hankel(g, n)
@@ -264,7 +257,7 @@ class DeltaMixedSpec(NamedTuple("DeltaMixedSpec", [("f", Polynomial), ("g", Poly
     __slots__ = ()
 
     def __new__(cls, f: Polynomial, g: Polynomial, k: int):
-        n, m = _require_division_shape(f, g)
+        n, m = _division_degrees(f, g)
         if not 1 <= k <= n - m + 1:
             raise IndexOutOfRange(f"delta index {k} outside 1..{n - m + 1}")
         return super().__new__(cls, f, g, k)
@@ -316,7 +309,7 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
     for j = 0 .. n-m. The delta indices run t-1 down to 1, so one call
     of the mixed-delta kernel, _mixed_deltas, fills them all.
     """
-    n, m = _require_division_shape(f, g)
+    n, m = _division_degrees(f, g)
     count = n - m + 1
     # With k = t-j-1 the factor is -(-1/lead)^k, for k = 1 .. count.
     scales = _powers(-1 / g.lead, count + 1)[1:]
@@ -355,7 +348,7 @@ def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:
     reversal taking the cycled matrix to Hessenberg form contributes
     exactly that sign.
     """
-    n, m = _require_division_shape(f, g)
+    n, m = _division_degrees(f, g)
     t = n - m + 2
     # Reversed, the deltas are the coefficients of a polynomial in -x0 * lead.
     deltas = _mixed_deltas(f, g, t - 1)

@@ -102,8 +102,6 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
             # Descending from the leading coefficients, where the
             # denominators of a quotient nest; the shorter factor is
             # cleared once and its denominator divided back out.
@@ -124,6 +122,9 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
+
+    def __reduce__(self) -> tuple:
+        return Polynomial, (self.coeffs,)
 
     def _frozen(self, *args: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -251,9 +252,6 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     m = g.degree
-    if f.is_zero or f.degree < m:
-        return DivisionResult(quotient=Polynomial(), remainder=f)
-
     den, cleared = _clear_denominators(g.coeffs[::-1])
     lead, tail = cleared[0], cleared[1:]
     # The working remainder, highest power first, as numerators over scale.
@@ -288,8 +286,6 @@ def monic_reduction(f: Polynomial, g: Polynomial) -> DivisionResult:
     quotient by lead(g), so dividing the intermediate quotient back down
     reproduces long_divide(f, g) exactly.
     """
-    if g.is_zero:
-        raise ZeroDivisor("cannot divide by the zero polynomial")
     lead = g.lead
     inner = long_divide(f, g * (Fraction(1) / lead))
     return DivisionResult(
@@ -300,6 +296,4 @@ def monic_reduction(f: Polynomial, g: Polynomial) -> DivisionResult:
 
 def divisor_views(g: Polynomial) -> DivisorViews:
     """The leading coefficient and negated tail of a nonzero divisor."""
-    if g.is_zero:
-        raise ZeroDivisor("the zero polynomial has no divisor views")
     return DivisorViews(lead=g.lead, negated_tail=tuple([-c for c in g.coeffs[:-1]]))

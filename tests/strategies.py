@@ -36,15 +36,14 @@ wide_divisors = _divisors(wide_rationals)
 small_divisors = _divisors(rationals)
 polys = st.one_of(_polys(rationals, 8), wide_polys)
 divisors = st.one_of(small_divisors, wide_divisors)
-proper_divisors = divisors.filter(lambda g: g.degree >= 1)
 
 
 @st.composite
 def division_pairs(draw, max_n=10):
-    """(f, g) with 1 <= deg g <= deg f <= max(deg g, max_n), all
+    """(f, g) with 0 <= deg g <= deg f <= max(deg g, max_n), all
     coefficients from one family."""
     coeffs = draw(st.sampled_from((rationals, wide_rationals)))
-    g = draw(_divisors(coeffs).filter(lambda g: g.degree >= 1))
+    g = draw(_divisors(coeffs))
     m = g.degree
     n = draw(st.integers(min_value=m, max_value=max(m, max_n)))
     tail = draw(st.lists(coeffs, min_size=n, max_size=n))

@@ -365,6 +365,12 @@ def test_main_domain_error_exit(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "zero polynomial" in out.err
+    for argv in (["sequence", "--kind", "t", "-n", "3"], ["delta", "-k", "2"]):
+        for divisor in ("0", "[0]"):
+            assert cli.main(argv + ["--divisor", divisor]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "error: the zero polynomial has no leading coefficient\n"
 
 
 def test_main_matrix_cap_is_domain_error(capsys):
@@ -505,6 +511,22 @@ def test_verify_mismatch_while_route_skipped(capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert "mismatch" in out.err and "det-formula" in out.err
+
+
+def test_verify_refuses_a_reference_that_fails_to_reconstruct(capsys, monkeypatch):
+    # Every route agrees with the reference, so only the final check sees the fault.
+    def corrupted(f, g):
+        good = long_divide(f, g)
+        return DivisionResult(
+            quotient=good.quotient + Polynomial([1]), remainder=good.remainder
+        )
+
+    for tag in cli.METHODS:
+        monkeypatch.setitem(cli.METHODS, tag, corrupted)
+    assert cli.main(["verify", "--dividend", "x^4", "--divisor", "x^2-x-1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "mismatch: method longdiv fails to reconstruct the dividend\n"
 
 
 def test_verify_ends_on_a_route_error_other_than_the_cap(capsys, monkeypatch):

@@ -42,7 +42,6 @@ from polydiv.polycore import (
 from strategies import (
     division_pairs,
     divisors,
-    proper_divisors,
     rationals,
     small_divisors,
     wide_rationals,
@@ -218,6 +217,13 @@ def test_anti_identity_sign_small_orders():
     assert anti_identity_sign(6) == -1
 
 
+def test_anti_identity_rejects_order_zero():
+    with pytest.raises(IndexOutOfRange):
+        build_anti_identity(0)
+    with pytest.raises(IndexOutOfRange):
+        anti_identity_sign(0)
+
+
 @pytest.mark.parametrize("t", range(1, 11))
 def test_anti_identity_sign_matches_oracle(t):
     assert anti_identity_sign(t) == det_oracle(build_anti_identity(t))
@@ -237,6 +243,8 @@ def test_build_hankel_degenerate_orders():
 def test_build_hankel_rejects_small_target():
     with pytest.raises(DegreeTooSmall):
         build_hankel(GOLDEN_G, 1)
+    with pytest.raises(DegreeTooSmall):
+        hankel_det_closed(GOLDEN_G, 1)
 
 
 @given(division_pairs(max_n=9))
@@ -278,21 +286,20 @@ def test_det_W_at_golden_points():
     assert det_W_at(GOLDEN_F, GOLDEN_G, 1) == 4
 
 
-@given(proper_divisors, rationals)
+@given(divisors, rationals)
 def test_det_W_at_self_division(g, x0):
     assert det_W_at(g, g, x0) == -g.lead
 
 
 def test_det_W_at_requires_shape():
-    # The messages pin the shared guard: past it, build_hankel would
-    # refuse the first shape with a DegreeTooSmall of its own.
+    # The message pins the shared guard: past it, build_hankel would
+    # refuse this shape with a DegreeTooSmall of its own.
     with pytest.raises(DegreeTooSmall, match="dividend degree must reach the divisor degree"):
         det_W_at(Polynomial([1, 1]), Polynomial([0, 0, 1]), 0)
-    least = "divisor must have degree at least 1"
-    with pytest.raises(DegreeTooSmall, match=least):
-        det_W_at(GOLDEN_F, Polynomial([3]), 0)
-    with pytest.raises(DegreeTooSmall, match=least):
-        quotient_from_dets(GOLDEN_F, Polynomial([3]))
+    # A constant divisor is a shape like any other: H is 3 times the
+    # order-5 anti-identity, so det W(1) = -3^5 * q(1) with q = x^4 / 3.
+    assert det_W_at(GOLDEN_F, Polynomial([3]), 1) == -(3**5) * Fraction(1, 3)
+    assert quotient_from_dets(GOLDEN_F, Polynomial([3])) == GOLDEN_F * Fraction(1, 3)
 
 
 def test_delta_mixed_goldens():
@@ -338,7 +345,7 @@ def test_quotient_from_dets_monomials():
     assert q == Polynomial([0, 0, 0, Fraction(3, 2)])
 
 
-@given(proper_divisors)
+@given(divisors)
 def test_quotient_from_dets_self_division(g):
     assert quotient_from_dets(g, g) == Polynomial([1])
 
@@ -404,7 +411,7 @@ def test_hessenberg_expansion_goldens():
     assert hessenberg_det_expansion(GOLDEN_F, GOLDEN_G, 1) == 4
 
 
-@given(proper_divisors, rationals)
+@given(divisors, rationals)
 def test_hessenberg_expansion_order_two(g, x0):
     # n = m makes t = 2: the sum collapses to the single term delta_1.
     assert hessenberg_det_expansion(g, g, x0) == g.lead
@@ -582,6 +589,9 @@ def test_divide_wrappers_short_circuit():
     const = divide_det_formula(f, Polynomial([2]))
     assert const.quotient == Polynomial([Fraction(3, 2), Fraction(1, 2)])
     assert const.remainder.is_zero
+    # The shortcut keeps det-ratio's order cap off constant divisors.
+    high = Polynomial([0] * 70 + [1])
+    assert divide_det_ratio(high, Polynomial([2])).quotient == high * Fraction(1, 2)
 
 
 def test_matrix_order_cap():
@@ -589,6 +599,8 @@ def test_matrix_order_cap():
         build_anti_identity(65)
     with pytest.raises(MatrixTooLarge):
         build_hankel(Polynomial([0, 1]), 80)
+    with pytest.raises(MatrixTooLarge, match="matrix order 65 "):
+        mixed_delta_matrix(DeltaMixedSpec(f=Polynomial([0] * 65 + [1]), g=Polynomial([0, 1]), k=65))
     with pytest.raises(MatrixTooLarge, match="matrix order 69 "):
         quotient_ratio(Polynomial([0] * 69 + [1]), Polynomial([0, 1]))
     with pytest.raises(MatrixTooLarge, match="matrix order 69 "):

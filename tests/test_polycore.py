@@ -47,6 +47,7 @@ def test_normalize_all_zero_is_canonical_zero():
     assert p.is_zero
     assert p.coeffs == ()
     assert p.degree is None
+    assert not p and Polynomial([0, 1])
 
 
 def test_normalize_identity_on_canonical_input():
@@ -83,6 +84,27 @@ def test_ring_op_examples():
     p = Polynomial([2, 0, 3])
     assert p + Polynomial() == p
     assert (p * 0).is_zero
+    assert (Polynomial([1, 2]) * Polynomial()).is_zero
+    assert (Polynomial() * Polynomial()).is_zero
+
+
+def test_sum_and_difference_refuse_scalars():
+    # Only * takes a scalar. + and - leave any other operand to its own
+    # reflected method, and an int has none for a Polynomial.
+    with pytest.raises(TypeError):
+        Polynomial([1]) + 1
+    with pytest.raises(TypeError):
+        Polynomial([1]) - 1
+
+    class Reflecting:
+        def __radd__(self, other):
+            return "radd"
+
+        def __rsub__(self, other):
+            return "rsub"
+
+    assert Polynomial([1]) + Reflecting() == "radd"
+    assert Polynomial([1]) - Reflecting() == "rsub"
 
 
 @given(polys, polys, rationals)
@@ -188,6 +210,8 @@ def test_monic_reduction_examples():
     result = monic_reduction(Polynomial([0, 0, 1]), Polynomial([0, 0, 3]))
     assert result.quotient == Polynomial([Fraction(1, 3)])
     assert result.remainder.is_zero
+    with pytest.raises(ZeroDivisor):
+        monic_reduction(Polynomial([1, 2]), Polynomial())
 
 
 @given(polys, divisors)
@@ -274,6 +298,8 @@ def test_polynomial_rejects_floats():
         Polynomial([0.1])
     with pytest.raises(TypeError):
         Polynomial([1, 2]) * 0.5
+    with pytest.raises(TypeError):
+        evaluate(Polynomial([1, 2]), 0.5)
 
 
 def test_polynomial_immutable():

@@ -1,5 +1,8 @@
 """The value types' contract: equal values compare and hash equal,
-fields cannot be assigned or deleted, and reprs stay as they were."""
+fields cannot be assigned or deleted, copies and pickles come back
+equal, and reprs stay as they were."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,16 @@ def test_value_types_compare_by_value_and_are_frozen(make):
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert a == b
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=list(VALUES))
+def test_value_types_copy_and_pickle(make):
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        field = getattr(type(twin), "_fields", ("coeffs",))[0]
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(value, field))
 
 
 def test_polynomial_equals_only_polynomials():

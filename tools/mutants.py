@@ -125,6 +125,64 @@ MUTANTS = (
         "    __delattr__ = _frozen\n",
         ("tests/test_polycore.py::test_polynomial_immutable",),
     ),
+    Mutant(
+        "evaluate takes a float point",
+        "src/polydiv/polycore.py",
+        "    x0 = _coerce(x0)\n    acc = Fraction(0)\n",
+        "    acc = Fraction(0)\n",
+        ("tests/test_polycore.py::test_polynomial_rejects_floats",),
+    ),
+    Mutant(
+        "+ takes any operand",
+        "src/polydiv/polycore.py",
+        "        if not isinstance(other, Polynomial):\n"
+        "            return NotImplemented\n        short,",
+        "        short,",
+        ("tests/test_polycore.py::test_sum_and_difference_refuse_scalars",),
+    ),
+    Mutant(
+        "- takes any operand",
+        "src/polydiv/polycore.py",
+        "        if not isinstance(other, Polynomial):\n"
+        "            return NotImplemented\n        return self + (-other)",
+        "        return self + (-other)",
+        ("tests/test_polycore.py::test_sum_and_difference_refuse_scalars",),
+    ),
+    Mutant(
+        "matrix builders take order 0",
+        "src/polydiv/detengine.py",
+        "    if order < 1:\n",
+        "    if False:\n",
+        ("tests/test_detengine.py::test_anti_identity_rejects_order_zero",),
+    ),
+    Mutant(
+        "anti_identity_sign takes order 0",
+        "src/polydiv/detengine.py",
+        "    if t < 1:\n",
+        "    if False:\n",
+        ("tests/test_detengine.py::test_anti_identity_rejects_order_zero",),
+    ),
+    Mutant(
+        "hankel_det_closed takes a target below the divisor degree",
+        "src/polydiv/detengine.py",
+        "    if n < views.degree:\n",
+        "    if False:\n",
+        ("tests/test_detengine.py::test_build_hankel_rejects_small_target",),
+    ),
+    Mutant(
+        "mixed_delta_matrix without the order cap",
+        "src/polydiv/detengine.py",
+        "    _check_order(spec.k)\n    band = ",
+        "    band = ",
+        ("tests/test_detengine.py::test_matrix_order_cap",),
+    ),
+    Mutant(
+        "verify without the reference's reconstruction check",
+        "src/polydiv/cli.py",
+        '    reference = _reconstructed("longdiv", f, g, reference)\n',
+        "",
+        ("tests/test_cli.py::test_verify_refuses_a_reference_that_fails_to_reconstruct",),
+    ),
 )
 
 
