@@ -17,7 +17,6 @@ from .polycore import (
     DivisionResult,
     DivisorViews,
     Polynomial,
-    Rational,
     ZeroDivisor,
     _clear_denominators,
     _convolve,
@@ -26,7 +25,7 @@ from .polycore import (
 )
 
 
-def s_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
+def s_sequence(views: DivisorViews, count: int) -> tuple[Fraction, ...]:
     """First ``count`` terms s_1 .. s_count of the monic-divisor recurrence.
 
     s_1 = 1 and each later term is a tail-weighted sum of its
@@ -62,7 +61,7 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     return den, lead, terms
 
 
-def t_sequence(views: DivisorViews, count: int) -> tuple[Rational, ...]:
+def t_sequence(views: DivisorViews, count: int) -> tuple[Fraction, ...]:
     """First ``count`` terms t_1 .. t_count of the general-divisor recurrence.
 
     t_1 = 1/lead and
@@ -88,7 +87,7 @@ def _division_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
 
 def _scaled_column(
     f: Polynomial, g: Polynomial, count: int
-) -> tuple[int, list[int], list[int], list[Rational]]:
+) -> tuple[int, list[int], list[int], list[Fraction]]:
     # With g cleared to D*g (lead L): D, L^0 .. L^count, T_1 .. T_count
     # and the dividend column a_{n-j} * L^j for j = 0 .. count-1.
     den, lead, terms = _general_terms(divisor_views(g), count)

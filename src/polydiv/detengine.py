@@ -37,7 +37,6 @@ from .polycore import (
     DivisorViews,
     Polynomial,
     PolyDivError,
-    Rational,
     _clear_denominators,
     _coerce,
     _convolve,
@@ -52,7 +51,7 @@ from .polycore import (
 DEFAULT_MAX_ORDER = 64
 
 # A square matrix as its rows, 0-based; docstrings count from 1 where formulas do.
-_Rows = tuple[tuple[Rational, ...], ...]
+_Rows = tuple[tuple[Fraction, ...], ...]
 
 
 class IndexOutOfRange(PolyDivError):
@@ -70,7 +69,7 @@ def _check_order(order: int) -> None:
         raise MatrixTooLarge(f"matrix order {order} exceeds the cap {DEFAULT_MAX_ORDER}")
 
 
-def det_oracle(rows: Sequence[Sequence]) -> Rational:
+def det_oracle(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix given as rows, by brute
     force, independent of every closed form.
 
@@ -83,7 +82,7 @@ def det_oracle(rows: Sequence[Sequence]) -> Rational:
     return maximal_minors([tuple(row) + (0,) for row in rows])[-1]
 
 
-def maximal_minors(rows: Sequence[Sequence]) -> list[Rational]:
+def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     """The r + 1 maximal minors of an r-by-(r+1) matrix: entry j is the
     determinant of the matrix with column j struck out.
 
@@ -138,7 +137,7 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Rational]:
     return [Fraction(sign * value, scale) for value in signed]
 
 
-def anti_identity_sign(t: int) -> Rational:
+def anti_identity_sign(t: int) -> Fraction:
     """Determinant of the order-t anti-identity: (-1)^(t(t-1)/2).
 
     Reversing t rows takes floor(t/2) transpositions, whose parity
@@ -187,7 +186,7 @@ def build_hankel(g: Polynomial, n: int) -> _Rows:
     return _toeplitz(g.coeffs, m, size, size)[::-1]
 
 
-def hankel_det_closed(g: Polynomial, n: int) -> Rational:
+def hankel_det_closed(g: Polynomial, n: int) -> Fraction:
     """det of build_hankel(g, n) without building it.
 
     The matrix is anti-triangular with the lead coefficient along the
@@ -218,7 +217,7 @@ def build_bordered(f: Polynomial, g: Polynomial, x0) -> _Rows:
     return tuple([row + (f.coeff(m + i),) for i, row in enumerate(hankel)] + [last])
 
 
-def det_W_at(f: Polynomial, g: Polynomial, x0) -> Rational:
+def det_W_at(f: Polynomial, g: Polynomial, x0) -> Fraction:
     """Exact determinant of the bordered matrix W evaluated at x0.
 
     As a function of x0 this is -det(H) times the quotient of f by g.
@@ -273,7 +272,7 @@ def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
     return tuple([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
 
-def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
+def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Fraction]:
     # First-column Laplace expansion. Striking row i and column 0 from
     # the order-k matrix leaves a block-triangular minor: a triangle of
     # lead coefficients giving lead^(i-1), and a band matrix in the
@@ -289,7 +288,7 @@ def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Rational]:
     return _convolve(terms, values, _powers(-den, kmax))
 
 
-def delta_mixed(spec: DeltaMixedSpec) -> Rational:
+def delta_mixed(spec: DeltaMixedSpec) -> Fraction:
     """Determinant of the mixed delta matrix by first-column expansion.
 
     Matrix-free: each complementary minor's band is a signed term of the
@@ -339,7 +338,7 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(d[::-1])
 
 
-def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Rational:
+def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Fraction:
     """Last-row expansion of the Hessenberg form's determinant at x0:
 
         sum over i = 2 .. t of (-1)^(t-i) * x0^(t-i) * lead^(t-i) * delta_{i-1}.
@@ -390,12 +389,12 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:
     return _toeplitz(coeffs, views.degree - 1, spec.k, spec.k)
 
 
-def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
+def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Fraction:
     """Pure delta by building the matrix and asking the oracle."""
     return det_oracle(pure_delta_matrix(spec, flipped=flipped))
 
 
-def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Rational:
+def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Fraction:
     """Pure delta as one term of the general recurrent sequence. The
     written closed form is
 

@@ -13,11 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
-# The coefficient field. Fraction is already canonical (reduced form,
-# positive denominator) and exact, which is all the package relies on.
-Rational = Fraction
-
-Scalar = Union[Rational, int, str]
+Scalar = Union[Fraction, int, str]
 
 
 class PolyDivError(Exception):
@@ -32,7 +28,7 @@ class DegreeTooSmall(PolyDivError):
     """A degree precondition does not hold (e.g. deg f < deg g)."""
 
 
-def _coerce(value: Scalar) -> Rational:
+def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -52,7 +48,7 @@ class Polynomial:
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         values = [_coerce(c) for c in coeffs]
@@ -70,13 +66,13 @@ class Polynomial:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
-    def lead(self) -> Rational:
+    def lead(self) -> Fraction:
         """Leading coefficient; undefined (raises) for the zero polynomial."""
         if not self.coeffs:
             raise ZeroDivisor("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Rational:
+    def coeff(self, i: int) -> Fraction:
         """Coefficient of x^i, with every out-of-range index reading as 0."""
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -132,7 +128,7 @@ class Polynomial:
     __setattr__ = __delattr__ = _frozen
 
 
-class DivisorViews(NamedTuple("DivisorViews", [("lead", Rational), ("negated_tail", tuple)])):
+class DivisorViews(NamedTuple("DivisorViews", [("lead", Fraction), ("negated_tail", tuple)])):
     """The view of one nonzero divisor g of degree m that every
     recurrence and closed formula in this package reads: the leading
     coefficient ``lead`` and ``negated_tail``, which holds -g_i for i < m.
@@ -176,7 +172,7 @@ class DivisionResult(NamedTuple):
         return self.remainder.degree < divisor.degree
 
 
-def _clear_denominators(values: Sequence[Rational]) -> tuple[int, list[int]]:
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The least common denominator D of the values and the integers D*v."""
     # A list: unpacking a generator builds a resized tuple, and freed
     # resized tuples pile up on the tuple free lists.
@@ -195,8 +191,8 @@ def _powers(base: int, count: int) -> list[int]:
 
 
 def _convolve(
-    weights: Sequence[int], values: Sequence[Rational], scales: Sequence[int]
-) -> list[Rational]:
+    weights: Sequence[int], values: Sequence[Fraction], scales: Sequence[int]
+) -> list[Fraction]:
     """Exact out[k] = (sum over j of weights[k-j] * values[j]) / scales[k]
     for k = 0 .. len(scales)-1, with j running over the window
     max(0, k - len(weights) + 1) .. min(k, len(values) - 1).
@@ -227,7 +223,7 @@ def _convolve(
     return out
 
 
-def evaluate(p: Polynomial, x0: Scalar) -> Rational:
+def evaluate(p: Polynomial, x0: Scalar) -> Fraction:
     """Exact value of p at x0 by Horner's scheme."""
     x0 = _coerce(x0)
     acc = Fraction(0)

@@ -5,11 +5,11 @@ workload through ``cli.main`` and hashes every reply, exit code, stdout
 and stderr, into one sha256. A change that alters a reply on purpose
 updates the digest here and says why. The corpus is imported from
 ``perfbench/workloads.py``, so the requests are the ones the benchmark
-serves. The ``delta`` subcommand, which no workload serves, is held to
-a digest of its own over a seeded corpus built here. The tracer case
-installs ``perfbench/tracing.py``'s patch table, so a library change
-that unbinds a name the benchmark wraps fails here, naming it, rather
-than in every benchmark request.
+serves. The ``delta`` and ``sequence`` subcommands, which no workload
+serves, are each held to a digest of their own over a seeded corpus
+built here. The tracer case installs ``perfbench/tracing.py``'s patch
+table, so a library change that unbinds a name the benchmark wraps
+fails here, naming it, rather than in every benchmark request.
 """
 import hashlib
 import importlib.util
@@ -35,6 +35,7 @@ DIGESTS = {
     "divide-tiny": "c468d1badcacc07b587cad74d36e84b2e7b425790e4760fdfa7bf69230bdf7d8",
 }
 DELTA_DIGEST = "52e00d8581cde98a2cdb5567089f89f0b4cb2eb002b7c26377b61d4558b3a8e5"
+SEQUENCE_DIGEST = "1e83261f97e49a8d9e40e41b6dbec70b72597796e1c5a980f72124885f54ed58"
 
 needs_default_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
@@ -70,12 +71,8 @@ def replies_digest(workload_name: str, seed: int = 1) -> str:
     return _digest(corpus.request(i).argv for i in range(workload.trace_requests))
 
 
-def delta_argvs(seed: int = 1) -> list[list[str]]:
-    """Every delta variant over 100 random divisors of degree 0..5, integer
-    or rational, with k cycling through 1..12; k at the order cap of 64
-    and past it, and at the degree cap of 512 and past it, on a few
-    divisors; and k = 8 on a quadratic with 4095-bit coefficients, whose
-    deltas pass the int-to-str limit."""
+def _divisors(seed: int) -> list[str]:
+    # 100 random divisors of degree 0..5, integer or rational.
     rng = random.Random(seed)
     divisors = []
     for _ in range(100):
@@ -83,15 +80,44 @@ def delta_argvs(seed: int = 1) -> list[list[str]]:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, top)) for _ in range(rng.randint(1, 6))]
         coeffs[-1] = coeffs[-1] or Fraction(1)
         divisors.append("[" + ", ".join(map(str, coeffs)) + "]")
-    cases = [(divisor, 1 + i % 12) for i, divisor in enumerate(divisors)]
+    return divisors
+
+
+def _wide_quadratic() -> str:
+    # 4095-bit coefficients, whose terms pass the int-to-str limit.
+    rng = random.Random(1)
+    return "[" + ", ".join(str(rng.getrandbits(4095) | 1) for _ in range(3)) + "]"
+
+
+def delta_argvs(seed: int = 1) -> list[list[str]]:
+    """Every delta variant over 100 random divisors, with k cycling
+    through 1..12; k at the order cap of 64 and past it, and at the
+    degree cap of 512 and past it, on a few divisors; and k = 8 on the
+    wide quadratic."""
+    cases = [(divisor, 1 + i % 12) for i, divisor in enumerate(_divisors(seed))]
     for divisor in ("x^2 - x - 1", "5", "[1/2, 0, -3/4, 2]", "3x^5 - 2/7x + 1"):
         cases += [(divisor, k) for k in (63, 64, 65, 512, 513)]
-    wide = random.Random(1)
-    cases.append(("[" + ", ".join(str(wide.getrandbits(4095) | 1) for _ in range(3)) + "]", 8))
+    cases.append((_wide_quadratic(), 8))
     return [
         ["delta", "--divisor", divisor, "-k", str(k), "--variant", variant]
         for divisor, k in cases
         for variant in ("pure-closed", "pure-flipped", "pure-direct")
+    ]
+
+
+def sequence_argvs(seed: int = 1) -> list[list[str]]:
+    """Both sequence kinds over delta_argvs' 100 random divisors, with n
+    cycling through 1..12; n below the least count, at it, at the degree
+    cap and past it, on a few divisors and the zero divisor; and n = 8
+    on the wide quadratic."""
+    cases = [(divisor, 1 + i % 12) for i, divisor in enumerate(_divisors(seed))]
+    for divisor in ("x^2 - x - 1", "5", "0", "[1/2, 0, -3/4, 2]", "3x^5 - 2/7x + 1"):
+        cases += [(divisor, n) for n in (0, 1, 512, 513)]
+    cases.append((_wide_quadratic(), 8))
+    return [
+        ["sequence", "--divisor", divisor, "--kind", kind, "-n", str(n)]
+        for divisor, n in cases
+        for kind in ("s", "t")
     ]
 
 
@@ -104,6 +130,11 @@ def test_replies_are_byte_identical(workload_name):
 @needs_default_digit_limit
 def test_delta_replies_are_byte_identical():
     assert _digest(delta_argvs()) == DELTA_DIGEST
+
+
+@needs_default_digit_limit
+def test_sequence_replies_are_byte_identical():
+    assert _digest(sequence_argvs()) == SEQUENCE_DIGEST
 
 
 def test_tracer_patches_and_restores_every_binding():

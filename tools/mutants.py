@@ -183,6 +183,20 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_verify_refuses_a_reference_that_fails_to_reconstruct",),
     ),
+    Mutant(
+        "delta --variant without its choices",
+        "src/polydiv/cli.py",
+        '"--variant", choices=tuple(DELTAS), ',
+        '"--variant", ',
+        ("tests/test_cli.py::test_main_usage_error_is_parse_error[bad-variant]",),
+    ),
+    Mutant(
+        "sequence --kind without its choices",
+        "src/polydiv/cli.py",
+        '"--kind", choices=tuple(SEQUENCES), ',
+        '"--kind", ',
+        ("tests/test_cli.py::test_main_usage_error_is_parse_error[bad-kind]",),
+    ),
 )
 
 
