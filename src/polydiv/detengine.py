@@ -21,7 +21,10 @@ Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
 the formulas it checks. At every order it runs maximal_minors, one
 fraction-free elimination that yields every maximal minor of an
-r-by-(r+1) matrix at once.
+r-by-(r+1) matrix at once, and applies Bareiss scaling to a row only
+when the row is next used. det-ratio and pure-direct hand it their
+matrices with the lead coefficients on the diagonal, where its pivot
+rule takes them with no row swap.
 """
 from __future__ import annotations
 
@@ -94,6 +97,17 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     0. The last pivot is the minor striking the free column; each free
     entry is a Cramer numerator, the minor with the free column in place
     of its row's pivot column.
+
+    Scaling is lazy. A step with pivot p after pivot prev only multiplies
+    a row whose entry in the pivot column is 0 by p / prev, so that row is
+    skipped and keeps the pivot at which it was last brought up to date.
+    The skipped ratios telescope: when the row is next used (it becomes
+    the pivot row, its factor is nonzero, or the pass ends), each entry
+    it still needs, and its factor, is multiplied by the current prev and
+    divided by that recorded pivot, exactly, since the eager value is a
+    minor. A pivot row is left as it is at its own step and counts as
+    being at the new pivot's level, the level the next step's eager
+    update starts from.
     """
     size = len(rows)
     if size < 1 or any(len(row) != size + 1 for row in rows):
@@ -106,27 +120,43 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
         scale *= den
         grid.append(ints)
     unused = list(range(size + 1))
+    # The pivot at which each row was last brought up to date.
+    level = [1] * size
     sign = prev = 1
     for k in range(size):
         # The first unused column with a nonzero entry in row k or below;
-        # that entry's row swaps up to row k.
+        # that entry's row swaps up to row k. Lazy scaling keeps zeros zero.
         found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
         if found is None:
             return [Fraction(0)] * (size + 1)
         col, r = found
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
+            level[k], level[r] = level[r], level[k]
             sign = -sign
-        unused.remove(col)
         top = grid[k]
+        if level[k] != prev:
+            for j in unused:
+                top[j] = top[j] * prev // level[k]
+        unused.remove(col)
         pivot = top[col]
         for i, row in enumerate(grid):
-            if i != k:
-                factor = row[col]
+            factor = row[col]
+            if i == k or not factor:
+                continue
+            last = level[i]
+            if last != prev:
+                factor = factor * prev // last
                 for j in unused:
-                    row[j] = (row[j] * pivot - factor * top[j]) // prev
+                    row[j] = row[j] * prev // last
+            for j in unused:
+                row[j] = (row[j] * pivot - factor * top[j]) // prev
+            level[i] = pivot
+        level[k] = pivot
         prev = pivot
     (free,) = unused
+    for row, last in zip(grid, level):
+        row[free] = row[free] * prev // last
     # Column j pivots in row j below the free column and row j - 1 above
     # it; moving the free column into its place takes |free - j| - 1
     # adjacent swaps.
@@ -328,11 +358,15 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     for j = 0 .. t-2. Striking the dividend column (j = t-1) leaves H
     itself. One maximal_minors elimination of those t - 1 rows gives all
     t minors at once, det(H) among them, and keeps this route free of any
-    closed formula.
+    closed formula. The rows go in reverse order, which puts the lead
+    coefficients on the diagonal: each pivot row then holds only its lead
+    and its dividend entry, so fill-in stays in the dividend column. The
+    reversal multiplies every minor by the same sign, which cancels in
+    minor / det(H).
     """
     rows = build_bordered(f, g, 0)[:-1]
     t = len(rows) + 1
-    minors = maximal_minors(rows)
+    minors = maximal_minors(rows[::-1])
     det_h = minors.pop()
     d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
     return Polynomial(d[::-1])
@@ -390,8 +424,15 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:
 
 
 def delta_pure_direct(spec: DeltaPureSpec, flipped: bool = False) -> Fraction:
-    """Pure delta by building the matrix and asking the oracle."""
-    return det_oracle(pure_delta_matrix(spec, flipped=flipped))
+    """Pure delta by building the matrix and asking the oracle.
+
+    The matrix is lower Hessenberg with the lead on the superdiagonal.
+    Moving column 0 to the end puts the leads on the diagonal, where the
+    oracle's pivot rule takes them with no row swap, and multiplies the
+    determinant by (-1)^(k-1), the sign of a cycle of k columns.
+    """
+    moved = [row[1:] + row[:1] for row in pure_delta_matrix(spec, flipped=flipped)]
+    return (-1) ** (spec.k - 1) * det_oracle(moved)
 
 
 def delta_pure_closed(spec: DeltaPureSpec, flipped: bool = False) -> Fraction:

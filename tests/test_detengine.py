@@ -1,4 +1,5 @@
 """Matrix constructions, the determinant oracle, and every delta identity."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,8 @@ from polydiv.polycore import (
     DegreeTooSmall,
     DivisorViews,
     Polynomial,
+    _clear_denominators,
+    _coerce,
     divisor_views,
     evaluate,
     long_divide,
@@ -165,6 +168,96 @@ def test_maximal_minors_match_oracle(rows):
     assert maximal_minors(rows) == struck_minors(rows)
 
 
+def eager_minors(rows):
+    # maximal_minors as it was before lazy scaling: every step brings
+    # every row but the pivot row up to date, whatever its factor. The
+    # reference the library kernel is held to past cofactor orders.
+    scale = 1
+    grid = []
+    for row in rows:
+        den, ints = _clear_denominators([_coerce(v) for v in row])
+        scale *= den
+        grid.append(ints)
+    size = len(grid)
+    unused = list(range(size + 1))
+    sign = prev = 1
+    for k in range(size):
+        found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
+        if found is None:
+            return [Fraction(0)] * (size + 1)
+        col, r = found
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        unused.remove(col)
+        top = grid[k]
+        pivot = top[col]
+        for i, row in enumerate(grid):
+            if i != k:
+                factor = row[col]
+                for j in unused:
+                    row[j] = (row[j] * pivot - factor * top[j]) // prev
+        prev = pivot
+    (free,) = unused
+    signed = [
+        prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free]
+        for j in range(size + 1)
+    ]
+    return [Fraction(sign * value, scale) for value in signed]
+
+
+@st.composite
+def lazy_row_matrices(draw):
+    # r-by-(r+1) up to order 24, or a square matrix bordered by a zero
+    # column as det_oracle forms it, in the shapes where rows go many
+    # steps without a nonzero factor: Hankel windows (reversed, Toeplitz),
+    # lower triangles with a full last column, then a zero row, a
+    # repeated row or a zero column. Entries come from a drawn Random, as
+    # hypothesis's own lists repeat values so often that most matrices
+    # would be singular.
+    rng = draw(st.randoms(use_true_random=False))
+    family = draw(st.sampled_from(("small", "rational", "wide")))
+
+    def coeff():
+        if family == "small":
+            return rng.randint(-2, 2)
+        if family == "rational":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-(2**64), 2**64)
+
+    r = draw(st.integers(min_value=1, max_value=24))
+    bordered = draw(st.booleans())
+    width = r if bordered else r + 1
+    shape = draw(st.sampled_from(("dense", "hankel", "toeplitz", "lower")))
+    if shape == "dense":
+        rows = [[coeff() for _ in range(width)] for _ in range(r)]
+    elif shape == "lower":
+        rows = [[coeff() if j <= i or j == width - 1 else 0 for j in range(width)] for i in range(r)]
+    else:
+        seq = [coeff() for _ in range(r + width)]
+        rows = [seq[i : i + width] for i in range(r)]
+        if shape == "toeplitz":
+            rows.reverse()
+    # At most one edit. A zero row or a repeated row leaves every maximal
+    # minor 0, after the pass has run until its pivots give out.
+    edit = draw(st.sampled_from((None, None, "zero row", "repeated row", "zero column")))
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, width - 1))
+    if edit == "zero row":
+        rows[i] = [0] * width
+    elif edit == "repeated row":
+        rows[i] = list(rows[j % r])
+    elif edit == "zero column":
+        for row in rows:
+            row[j] = 0
+    return [row + [0] for row in rows] if bordered else rows
+
+
+@given(lazy_row_matrices())
+@settings(max_examples=150, deadline=None)
+def test_maximal_minors_match_eager_elimination(rows):
+    assert maximal_minors(rows) == eager_minors(rows)
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [
@@ -177,6 +270,15 @@ def test_maximal_minors_match_oracle(rows):
         # Rank 2 < r = 3: every minor is 0.
         ([[1, 2, 3, 4], [2, 3, 4, 5], [3, 5, 7, 9]], [0, 0, 0, 0]),
         ([[0, 0, 0], [1, 2, 3]], [0, 0, 0]),
+        # Lazy rows. A lower triangle with a full last column, the shape
+        # pure-direct and det-ratio hand over: rows 0 and 1 skip the
+        # later steps and catch up at the end.
+        ([[2, 0, 0, 1], [1, 3, 0, 1], [1, 1, 5, 1]], [15, -5, 2, 30]),
+        # Row 1 skips step 0, then catches up as the pivot row.
+        ([[2, 1, 1, 1], [0, 3, 1, 2], [1, 1, 4, 1]], [3, -13, 1, 20]),
+        # Row 2 skips step 0, then catches up with its factor at step 1,
+        # where row 0, step 0's pivot row, is updated from pivot 2.
+        ([[2, 1, 1, 1], [1, 3, 1, 2], [0, 1, 4, 1]], [3, -11, 2, 19]),
         # r = 1: striking one entry leaves the other.
         ([[5, Fraction(-7, 3)]], [Fraction(-7, 3), 5]),
         ([[0, 0]], [0, 0]),
@@ -485,6 +587,18 @@ def test_pure_delta_zero_tail():
         spec = DeltaPureSpec(views=views, k=k)
         assert delta_pure_direct(spec) == 0
         assert delta_pure_closed(spec) == 0
+
+
+def test_pure_delta_direct_at_large_k():
+    # Past the small k of the hypothesis tests: a 1024-bit quadratic at
+    # k 24 and an 8-bit degree-6 divisor at k 60, near the order cap.
+    rng = random.Random(20)
+    wide = Polynomial([rng.getrandbits(1024) - 2**1023 for _ in range(2)] + [rng.getrandbits(1024) | 1])
+    narrow = Polynomial([rng.randint(-128, 127) for _ in range(6)] + [rng.randint(1, 127)])
+    for g, k in ((wide, 24), (narrow, 60)):
+        spec = DeltaPureSpec(views=divisor_views(g), k=k)
+        for flipped in (False, True):
+            assert delta_pure_direct(spec, flipped=flipped) == delta_pure_closed(spec, flipped=flipped)
 
 
 def test_pure_delta_rejects_bad_index():

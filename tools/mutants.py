@@ -71,6 +71,56 @@ MUTANTS = (
         ("tests/test_detengine.py::test_maximal_minors_match_oracle",),
     ),
     Mutant(
+        "maximal_minors without the end-of-pass catch-up",
+        "src/polydiv/detengine.py",
+        "    for row, last in zip(grid, level):\n        row[free] = row[free] * prev // last\n",
+        "",
+        (
+            "tests/test_detengine.py::test_maximal_minors_hand_cases",
+            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+        ),
+    ),
+    Mutant(
+        "maximal_minors without the pivot row's catch-up",
+        "src/polydiv/detengine.py",
+        "        if level[k] != prev:\n            for j in unused:\n                top[j] = top[j] * prev // level[k]\n",
+        "",
+        (
+            "tests/test_detengine.py::test_maximal_minors_hand_cases",
+            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+        ),
+    ),
+    Mutant(
+        "maximal_minors without a lazy row's factor caught up",
+        "src/polydiv/detengine.py",
+        "                factor = factor * prev // last\n",
+        "",
+        (
+            "tests/test_detengine.py::test_maximal_minors_hand_cases",
+            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+        ),
+    ),
+    Mutant(
+        "maximal_minors without the pivot row's level advanced",
+        "src/polydiv/detengine.py",
+        "        level[k] = pivot\n",
+        "",
+        (
+            "tests/test_detengine.py::test_maximal_minors_hand_cases",
+            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+        ),
+    ),
+    Mutant(
+        "delta_pure_direct without the column move's sign",
+        "src/polydiv/detengine.py",
+        "(-1) ** (spec.k - 1)",
+        "(-1) ** spec.k",
+        (
+            "tests/test_detengine.py::test_pure_delta_goldens",
+            "tests/test_detengine.py::test_pure_delta_direct_at_large_k",
+        ),
+    ),
+    Mutant(
         "mixed deltas without their alternating sign",
         "src/polydiv/detengine.py",
         "_powers(-den, kmax)",
