@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from .polycore import (
     DegreeTooSmall,
@@ -42,11 +42,15 @@ def s_sequence(views: DivisorViews, count: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, terms, _powers(lead, count)))
 
 
-def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]]:
+def _general_terms(
+    views: DivisorViews, count: int, drive: Sequence[int] = (1,)
+) -> tuple[int, int, list[int]]:
     # The one integer recurrence in the package. Clearing the divisor to
     # D*g, an integer polynomial with lead L and negated tail c', gives
-    # T_1 = 1 and T_r = sum of c'(m - i) * L^(i-1) * T_{r-i} over
-    # i = 1 .. min(r-1, m), with t_r = D * T_r / L^r. Returns D, L, T.
+    # V_r = u_r * L^(r-1) + sum of c'(m - i) * L^(i-1) * V_{r-i} over
+    # i = 1 .. min(r-1, m), for r = 1 .. count, with the integer input
+    # u_1, u_2, ... read as 0 past its end. The default impulse u = (1,)
+    # gives T, with t_r = D * T_r / L^r. Returns D, L, V.
     if count < 1:
         raise DegreeTooSmall("a sequence needs at least one term")
     den, ints = _clear_denominators(views.negated_tail + (views.lead,))
@@ -54,10 +58,11 @@ def _general_terms(views: DivisorViews, count: int) -> tuple[int, int, list[int]
     m = len(ints)
     # c'(m - i) * L^(i-1) for i = m .. 1: the last weight meets the newest term.
     back = [c * p for c, p in zip(ints, _powers(lead, m)[::-1])]
-    terms = [1]
+    terms = [u * p for u, p in zip(drive, _powers(lead, len(drive)))]
+    terms += [0] * (count - len(terms))
     for s in range(1, count):
         w = min(s, m)
-        terms.append(sum(map(mul, back[m - w:], terms[s - w:])))
+        terms[s] += sum(map(mul, back[m - w:], terms[s - w:s]))
     return den, lead, terms
 
 
@@ -85,16 +90,6 @@ def _division_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
     return f.degree, g.degree
 
 
-def _scaled_column(
-    f: Polynomial, g: Polynomial, count: int
-) -> tuple[int, list[int], list[int], list[Fraction]]:
-    # With g cleared to D*g (lead L): D, L^0 .. L^count, T_1 .. T_count
-    # and the dividend column a_{n-j} * L^j for j = 0 .. count-1.
-    den, lead, terms = _general_terms(divisor_views(g), count)
-    powers = _powers(lead, count + 1)
-    return den, powers, terms, [a * p for a, p in zip(f.coeffs[::-1], powers[:count])]
-
-
 def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient coefficients straight from the general recurrence.
 
@@ -107,9 +102,12 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     perturbing any a_i with i < m cannot change the quotient.
     """
     n, m = _division_degrees(f, g)
+    count = n - m + 1
     # With t_r = D * T_r / L^r the sum is D/L^(k+1) times the
     # convolution of T with a_{n-j} * L^j.
-    den, powers, terms, values = _scaled_column(f, g, n - m + 1)
+    den, lead, terms = _general_terms(divisor_views(g), count)
+    powers = _powers(lead, count + 1)
+    values = [a * p for a, p in zip(f.coeffs[::-1], powers[:count])]
     d = _convolve([den * term for term in terms], values, powers[1:])
     return Polynomial(d[::-1])
 

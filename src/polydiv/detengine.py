@@ -7,10 +7,10 @@ determinant is a scalar multiple of the quotient polynomial itself.
 Cycling and reversing the rows of W turns it into a lower Hessenberg
 matrix with constant superdiagonal, whose leading minors (the mixed
 deltas), signed and scaled by lead powers, are the quotient coefficients.
-Both delta families read the general recurrent sequence: each mixed
-delta is its convolution with the dividend column, each pure delta one
-of its terms. The column, the sequence and the shape check come from
-closedform (_scaled_column, _division_degrees).
+Both delta families come from the general recurrence in closedform,
+_general_terms: each pure delta is one of its terms, and the mixed
+deltas are the same recurrence driven by the dividend column. The shape
+check, _division_degrees, comes from there too.
 
 Every builder returns its matrix as a tuple of rows, each a tuple of
 Fraction. H, the anti-identity and both delta matrices are windows of
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .closedform import _division_degrees, _general_terms, _scaled_column, divide_with
+from .closedform import _division_degrees, _general_terms, divide_with
 # t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
 from .closedform import t_sequence
 from .polycore import (
@@ -42,7 +42,6 @@ from .polycore import (
     PolyDivError,
     _clear_denominators,
     _coerce,
-    _convolve,
     _powers,
     divisor_views,
     evaluate,
@@ -303,27 +302,23 @@ def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
 
 
 def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Fraction]:
-    # First-column Laplace expansion. Striking row i and column 0 from
-    # the order-k matrix leaves a block-triangular minor: a triangle of
-    # lead coefficients giving lead^(i-1), and a band matrix in the
-    # divisor tail whose determinant G_s obeys the t-recurrence with
-    # alternating signs. Clearing g to D*g (lead L) gives
-    # D^s * G_s = (-1)^s * T_(s+1), T from _general_terms, and the signs
-    # of band and column meet as (-1)^(k-1):
-    #
-    #     delta_k = (-1)^(k-1) * D^(1-k) * sum over j of T_(k-j) * a_{n-j} L^j
-    #
-    # for j = 0 .. k-1; (-D)^(k-1) carries both D^(k-1) and the sign.
-    den, _, terms, values = _scaled_column(f, g, kmax)
-    return _convolve(terms, values, _powers(-den, kmax))
+    # The order-k matrix is the pure-delta matrix with the dividend
+    # column in place of its first column, so expanding along the last
+    # row gives the pure deltas' recurrence with that column as input.
+    # Driven by u_r = F * a_{n-r+1} and with g cleared to D*g, it gives
+    # delta_k = (-1)^(k-1) * V_k / (D^(k-1) * F); (-D)^(k-1) carries
+    # both D^(k-1) and the sign.
+    den_f, column = _clear_denominators(f.coeffs[::-1][:kmax])
+    den, _, values = _general_terms(divisor_views(g), kmax, column)
+    return [Fraction(v, p * den_f) for v, p in zip(values, _powers(-den, kmax))]
 
 
 def delta_mixed(spec: DeltaMixedSpec) -> Fraction:
-    """Determinant of the mixed delta matrix by first-column expansion.
+    """Determinant of the mixed delta matrix by last-row expansion.
 
-    Matrix-free: each complementary minor's band is a signed term of the
-    general recurrent sequence, which one convolution meets with the
-    dividend column. The tests hold this equal to det_oracle(mixed_delta_matrix(spec)).
+    Matrix-free: the general recurrence, driven by the dividend column,
+    yields every leading minor up to order k in O(k*m) steps. The tests
+    hold this equal to det_oracle(mixed_delta_matrix(spec)).
     """
     return _mixed_deltas(spec.f, spec.g, spec.k)[-1]
 

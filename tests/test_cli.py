@@ -392,6 +392,14 @@ def test_main_matrix_cap_is_domain_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_pure_direct_matrix_cap_is_domain_error(capsys):
+    argv = ["delta", "--divisor", "x^2-x-1", "--variant", "pure-direct", "-k"]
+    assert cli.main(argv + ["65"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: matrix order 65 exceeds the cap 64\n")
+    assert cli.main(argv + ["64"]) == 0
+
+
 def test_main_mismatch_exit(capsys, monkeypatch):
     def corrupted(f, g):
         good = cli.METHODS["longdiv"](f, g)

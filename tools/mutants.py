@@ -111,6 +111,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "maximal_minors without the level swap",
+        "src/polydiv/detengine.py",
+        "            level[k], level[r] = level[r], level[k]\n",
+        "",
+        ("tests/test_detengine.py::test_maximal_minors_match_eager_elimination_on_sparse_rows",),
+    ),
+    Mutant(
         "delta_pure_direct without the column move's sign",
         "src/polydiv/detengine.py",
         "(-1) ** (spec.k - 1)",
@@ -128,6 +135,26 @@ MUTANTS = (
         (
             "tests/test_detengine.py::test_delta_mixed_goldens",
             "tests/test_cli.py::test_verify_holds_det_formula_to_mixed_deltas",
+        ),
+    ),
+    Mutant(
+        "driven recurrence without the input's lead power",
+        "src/polydiv/closedform.py",
+        "terms = [u * p for u, p in zip(drive, _powers(lead, len(drive)))]",
+        "terms = list(drive)",
+        (
+            "tests/test_detengine.py::test_mixed_deltas_match_paper_sums",
+            "tests/test_detengine.py::test_quotient_from_dets_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "mixed deltas without the dividend's denominator",
+        "src/polydiv/detengine.py",
+        "Fraction(v, p * den_f)",
+        "Fraction(v, p)",
+        (
+            "tests/test_detengine.py::test_mixed_deltas_match_paper_sums",
+            "tests/test_detengine.py::test_quotient_from_dets_matches_oracle",
         ),
     ),
     Mutant(
@@ -225,6 +252,13 @@ MUTANTS = (
         "    _check_order(spec.k)\n    band = ",
         "    band = ",
         ("tests/test_detengine.py::test_matrix_order_cap",),
+    ),
+    Mutant(
+        "pure_delta_matrix without the order cap",
+        "src/polydiv/detengine.py",
+        "    _check_order(spec.k)\n    views = spec.views\n",
+        "    views = spec.views\n",
+        ("tests/test_cli.py::test_pure_direct_matrix_cap_is_domain_error",),
     ),
     Mutant(
         "verify without the reference's reconstruction check",
