@@ -19,12 +19,16 @@ its rows and columns reordered, and no entry is converted twice.
 
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
-the formulas it checks. At every order it runs maximal_minors, one
-fraction-free elimination that yields every maximal minor of an
-r-by-(r+1) matrix at once, and applies Bareiss scaling to a row only
-when the row is next used. det-ratio and pure-direct hand it their
-matrices with the lead coefficients on the diagonal, where its pivot
-rule takes them with no row swap.
+the formulas it checks. There is one elimination, _integer_minors: a
+fraction-free pass over integer rows that yields every maximal minor of
+an r-by-(r+1) matrix at once, and applies Bareiss scaling to a row only
+when the row is next used. maximal_minors is its checked boundary, for
+det_oracle and any caller with Fraction rows: it checks the shape,
+refuses floats and clears each row to integers. det-ratio builds its
+rows as integer windows itself, clearing the divisor and the dividend
+column once, and calls the core directly. det-ratio and pure-direct put
+the lead coefficients on the diagonal, where the pivot rule takes them
+with no row swap.
 """
 from __future__ import annotations
 
@@ -88,14 +92,38 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     """The r + 1 maximal minors of an r-by-(r+1) matrix: entry j is the
     determinant of the matrix with column j struck out.
 
-    One fraction-free Gauss-Jordan pass over the rows cleared to
-    integers (Bareiss 1968; Nakos, Turner and Williams 1997) keeps every
-    entry a minor, so every division is exact. Pivots are searched over
-    the columns not yet used, in order, so they ascend and leave one
-    free column, or run out when the rank is below r and every minor is
-    0. The last pivot is the minor striking the free column; each free
-    entry is a Cramer numerator, the minor with the free column in place
-    of its row's pivot column.
+    The checked boundary of the one elimination: it refuses an empty,
+    ragged or wrongly shaped matrix with IndexOutOfRange and a float
+    entry with TypeError, clears each row to integers by its own least
+    common denominator, and divides the integer minors of
+    _integer_minors by the product of those denominators.
+    """
+    size = len(rows)
+    if size < 1 or any(len(row) != size + 1 for row in rows):
+        raise IndexOutOfRange("maximal minors need an r-by-(r+1) matrix, r >= 1")
+    # The product of the row multipliers scales every maximal minor.
+    scale = 1
+    grid = []
+    for row in rows:
+        den, ints = _clear_denominators([_coerce(v) for v in row])
+        scale *= den
+        grid.append(ints)
+    return [Fraction(value, scale) for value in _integer_minors(grid)]
+
+
+def _integer_minors(grid: list[list[int]]) -> list[int]:
+    """The r + 1 maximal minors of an r-by-(r+1) integer matrix, given as
+    a list of row lists, which it overwrites. It checks nothing: callers
+    whose rows are already integers, shaped r-by-(r+1) with r >= 1, call
+    it directly, and maximal_minors calls it for the rest.
+
+    One fraction-free Gauss-Jordan pass (Bareiss 1968; Nakos, Turner and
+    Williams 1997) keeps every entry a minor, so every division is
+    exact. Pivots are searched over the columns not yet used, in order,
+    so they ascend and leave one free column, or run out when the rank
+    is below r and every minor is 0. The last pivot is the minor
+    striking the free column; each free entry is a Cramer numerator, the
+    minor with the free column in place of its row's pivot column.
 
     Scaling is lazy. A step with pivot p after pivot prev only multiplies
     a row whose entry in the pivot column is 0 by p / prev, so that row is
@@ -108,16 +136,7 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     being at the new pivot's level, the level the next step's eager
     update starts from.
     """
-    size = len(rows)
-    if size < 1 or any(len(row) != size + 1 for row in rows):
-        raise IndexOutOfRange("maximal minors need an r-by-(r+1) matrix, r >= 1")
-    # The product of the row multipliers scales every maximal minor.
-    scale = 1
-    grid = []
-    for row in rows:
-        den, ints = _clear_denominators([_coerce(v) for v in row])
-        scale *= den
-        grid.append(ints)
+    size = len(grid)
     unused = list(range(size + 1))
     # The pivot at which each row was last brought up to date.
     level = [1] * size
@@ -127,7 +146,7 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
         # that entry's row swaps up to row k. Lazy scaling keeps zeros zero.
         found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
         if found is None:
-            return [Fraction(0)] * (size + 1)
+            return [0] * (size + 1)
         col, r = found
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
@@ -159,11 +178,10 @@ def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     # Column j pivots in row j below the free column and row j - 1 above
     # it; moving the free column into its place takes |free - j| - 1
     # adjacent swaps.
-    signed = [
-        prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free]
+    return [
+        sign * (prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free])
         for j in range(size + 1)
     ]
-    return [Fraction(sign * value, scale) for value in signed]
 
 
 def anti_identity_sign(t: int) -> Fraction:
@@ -177,14 +195,16 @@ def anti_identity_sign(t: int) -> Fraction:
     return Fraction(-1) ** (t * (t - 1) // 2)
 
 
-def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> _Rows:
+def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int, zero=Fraction(0)) -> _Rows:
     """Rows 0 .. size-1 of the matrix whose entry (i, j) is
-    coeffs[shift - i + j], reading 0 outside the sequence. Row i is the
-    slice of one zero-padded tuple that starts at index shift - i."""
+    coeffs[shift - i + j], reading zero outside the sequence. Row i is the
+    slice of one zero-padded tuple that starts at index shift - i.
+    quotient_ratio pads with the int 0, which keeps Fraction arithmetic
+    out of its elimination."""
     low = shift - size + 1
     # Lists, not generators: resized tuples refill the tuple free lists.
     padded = tuple([
-        coeffs[p] if 0 <= p < len(coeffs) else Fraction(0)
+        coeffs[p] if 0 <= p < len(coeffs) else zero
         for p in range(low, low + size + width - 1)
     ])
     return tuple([padded[size - 1 - i : size - 1 - i + width] for i in range(size)])
@@ -251,7 +271,7 @@ def det_W_at(f: Polynomial, g: Polynomial, x0) -> Fraction:
 
     As a function of x0 this is -det(H) times the quotient of f by g.
     quotient_ratio reads that quotient off the cofactors of W's last row,
-    taking them all from maximal_minors in place of evaluating W.
+    taking them all from one elimination in place of evaluating W.
     """
     return det_oracle(build_bordered(f, g, x0))
 
@@ -351,19 +371,35 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
         d_(n-m-j) = (-1)^(t-j) * det(M_j) / det(H)
 
     for j = 0 .. t-2. Striking the dividend column (j = t-1) leaves H
-    itself. One maximal_minors elimination of those t - 1 rows gives all
-    t minors at once, det(H) among them, and keeps this route free of any
-    closed formula. The rows go in reverse order, which puts the lead
-    coefficients on the diagonal: each pivot row then holds only its lead
-    and its dividend entry, so fill-in stays in the dividend column. The
-    reversal multiplies every minor by the same sign, which cancels in
-    minor / det(H).
+    itself. One elimination of those t - 1 rows, _integer_minors, gives
+    all t minors at once, det(H) among them, and keeps this route free of
+    any closed formula. The last row is never built.
+
+    The rows are built as integers: the divisor cleared once to D*g and
+    the dividend column a_m .. a_n once to F*a. Striking a Hankel column
+    leaves t - 2 columns scaled by D and the dividend column by F, so
+    that integer minor I_j is D^(t-2) * F * det(M_j); striking the
+    dividend column leaves I_H = D^(t-1) * det(H). Hence
+
+        d_(n-m-j) = (-1)^(t-j) * D * I_j / (F * I_H),
+
+    one Fraction per coefficient. The rows go in reverse order, which
+    puts the lead coefficients on the diagonal: each pivot row then holds
+    only its lead and its dividend entry, so fill-in stays in the
+    dividend column. The reversal multiplies every minor by the same
+    sign, which cancels in the ratio.
     """
-    rows = build_bordered(f, g, 0)[:-1]
-    t = len(rows) + 1
-    minors = maximal_minors(rows[::-1])
+    n, m = _division_degrees(f, g)
+    t = n - m + 2
+    # H first, so a refusal names the smaller matrix past the cap.
+    _check_order(t - 1)
+    _check_order(t)
+    den, ints = _clear_denominators(g.coeffs)
+    den_f, column = _clear_denominators(f.coeffs[m:])
+    window = _toeplitz(ints, m, t - 1, t - 1, zero=0)
+    minors = _integer_minors([[*row, a] for row, a in zip(window, column[::-1])])
     det_h = minors.pop()
-    d = [(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)]
+    d = [Fraction((-1) ** (t - j) * den * minor, den_f * det_h) for j, minor in enumerate(minors)]
     return Polynomial(d[::-1])
 
 

@@ -39,10 +39,10 @@ divisors = st.one_of(small_divisors, wide_divisors)
 
 
 @st.composite
-def division_pairs(draw, max_n=10):
+def division_pairs(draw, max_n=10, families=(rationals, wide_rationals)):
     """(f, g) with 0 <= deg g <= deg f <= max(deg g, max_n), all
-    coefficients from one family."""
-    coeffs = draw(st.sampled_from((rationals, wide_rationals)))
+    coefficients from one of the families."""
+    coeffs = draw(st.sampled_from(families))
     g = draw(_divisors(coeffs))
     m = g.degree
     n = draw(st.integers(min_value=m, max_value=max(m, max_n)))

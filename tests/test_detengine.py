@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from polydiv.closedform import t_sequence
 from polydiv.detengine import (
@@ -11,6 +11,7 @@ from polydiv.detengine import (
     DeltaPureSpec,
     IndexOutOfRange,
     MatrixTooLarge,
+    _integer_minors,
     anti_identity_sign,
     build_anti_identity,
     build_bordered,
@@ -164,6 +165,11 @@ def struck_minors(rows):
     return [cofactor_det(square) for square in struck(rows)]
 
 
+def integer_minors(rows):
+    # The integer core, past the checked boundary; it overwrites its rows.
+    return _integer_minors([list(row) for row in rows])
+
+
 @given(r_by_r1_matrices())
 @settings(max_examples=80, deadline=None)
 def test_det_oracle_matches_cofactor_expansion(rows):
@@ -218,7 +224,7 @@ def eager_minors(rows):
 
 
 @st.composite
-def lazy_row_matrices(draw):
+def lazy_row_matrices(draw, families=("small", "rational", "wide")):
     # r-by-(r+1) up to order 24, or a square matrix bordered by a zero
     # column as det_oracle forms it, in the shapes where rows go many
     # steps without a nonzero factor: Hankel windows (reversed, Toeplitz),
@@ -227,7 +233,7 @@ def lazy_row_matrices(draw):
     # hypothesis's own lists repeat values so often that most matrices
     # would be singular.
     rng = draw(st.randoms(use_true_random=False))
-    family = draw(st.sampled_from(("small", "rational", "wide")))
+    family = draw(st.sampled_from(families))
 
     def coeff():
         if family == "small":
@@ -272,13 +278,24 @@ def test_maximal_minors_match_eager_elimination(rows):
 def test_maximal_minors_match_eager_elimination_on_sparse_rows():
     # Sparse small-integer rows, orders 2 to 7: row swaps between rows
     # last brought up to date at different pivots are common here, and
-    # rare in the structured shapes above.
+    # rare in the structured shapes above. The integer core, handed the
+    # rows directly, gives the same minors.
     rng = random.Random(0)
     entries = (0, 0, 0, 0, 1, -1, 2, 3)
     for _ in range(2000):
         r = rng.randint(2, 7)
         rows = [[rng.choice(entries) for _ in range(r + 1)] for _ in range(r)]
-        assert maximal_minors(rows) == eager_minors(rows), rows
+        assert integer_minors(rows) == maximal_minors(rows) == eager_minors(rows), rows
+
+
+@given(lazy_row_matrices(families=("small", "wide")))
+@settings(max_examples=100, deadline=None)
+def test_integer_core_matches_checked_boundary(rows):
+    # On rows that are already integers the core, without the boundary's
+    # coercion and clearing, returns the same minors, as ints.
+    minors = integer_minors(rows)
+    assert all(type(v) is int for v in minors)
+    assert minors == maximal_minors(rows) == eager_minors(rows)
 
 
 @pytest.mark.parametrize(
@@ -531,6 +548,43 @@ def test_quotient_ratio_matches_oracle(pair, x0):
     assert evaluate(q, x0) * det_oracle(build_hankel(g, f.degree)) == -det_W_at(f, g, x0)
 
 
+def cofactor_ratio(f, g):
+    # The ratio as the checked boundary gives it, over W's rows above the
+    # x0 row in their built order: the reference for the integer rows.
+    rows = build_bordered(f, g, 0)[:-1]
+    t = len(rows) + 1
+    minors = maximal_minors(rows)
+    det_h = minors.pop()
+    return Polynomial([(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)][::-1])
+
+
+def wide_pair(n, m, rng_seed):
+    # f of degree n and g of degree m, every coefficient a nonzero
+    # rational with numerator and denominator up to 2^256.
+    rng = random.Random(rng_seed)
+
+    def coeff():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 2**256), rng.randint(1, 2**256))
+
+    return Polynomial([coeff() for _ in range(n + 1)]), Polynomial([coeff() for _ in range(m + 1)])
+
+
+@seed(4)
+@given(division_pairs(max_n=31, families=(wide_rationals,)))
+@example(wide_pair(31, 1, 0))
+@example(wide_pair(32, 1, 1))
+@settings(max_examples=30, deadline=None)
+def test_quotient_ratio_matches_oracle_at_served_orders(pair):
+    # verify serves W up to order 32. The two examples fix W at orders 32
+    # and 33, whatever the draws reach. The wide family brings rational f
+    # and g with leads up to 2^256, so D, F and every row's own
+    # denominator differ.
+    f, g = pair
+    q = quotient_ratio(f, g)
+    assert q == long_divide(f, g).quotient
+    assert q == cofactor_ratio(f, g)
+
+
 def test_hessenberg_expansion_goldens():
     assert hessenberg_det_expansion(GOLDEN_F, GOLDEN_G, 0) == 2
     assert hessenberg_det_expansion(GOLDEN_F, GOLDEN_G, 1) == 4
@@ -734,6 +788,8 @@ def test_divide_wrappers_short_circuit():
 def test_matrix_order_cap():
     with pytest.raises(MatrixTooLarge):
         build_anti_identity(65)
+    with pytest.raises(MatrixTooLarge, match="matrix order 65 "):
+        pure_delta_matrix(DeltaPureSpec(divisor_views(GOLDEN_G), 65))
     with pytest.raises(MatrixTooLarge):
         build_hankel(Polynomial([0, 1]), 80)
     with pytest.raises(MatrixTooLarge, match="matrix order 65 "):

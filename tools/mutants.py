@@ -128,6 +128,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "quotient_ratio with D and F swapped",
+        "src/polydiv/detengine.py",
+        "* den * minor, den_f * det_h)",
+        "* den_f * minor, den * det_h)",
+        (
+            "tests/test_detengine.py::test_quotient_ratio_matches_oracle",
+            "tests/test_detengine.py::test_quotient_ratio_matches_oracle_at_served_orders",
+        ),
+    ),
+    Mutant(
         "mixed deltas without their alternating sign",
         "src/polydiv/detengine.py",
         "_powers(-den, kmax)",
