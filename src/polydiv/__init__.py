@@ -50,45 +50,3 @@ from .polycore import (
     long_divide,
     monic_reduction,
 )
-
-__all__ = [
-    "DEFAULT_MAX_ORDER",
-    "DegreeTooSmall",
-    "DeltaMixedSpec",
-    "DeltaPureSpec",
-    "DivisionResult",
-    "DivisorViews",
-    "IndexOutOfRange",
-    "MatrixTooLarge",
-    "PolyDivError",
-    "Polynomial",
-    "ZeroDivisor",
-    "anti_identity_sign",
-    "build_anti_identity",
-    "build_bordered",
-    "build_hankel",
-    "build_hessenberg",
-    "build_permuted",
-    "delta_mixed",
-    "delta_pure_closed",
-    "delta_pure_direct",
-    "det_W_at",
-    "det_oracle",
-    "divide_closed",
-    "divide_det_formula",
-    "divide_det_ratio",
-    "divisor_views",
-    "evaluate",
-    "hankel_det_closed",
-    "hessenberg_det_expansion",
-    "long_divide",
-    "mixed_delta_matrix",
-    "monic_reduction",
-    "pure_delta_matrix",
-    "quotient_closed",
-    "quotient_from_dets",
-    "quotient_ratio",
-    "remainder_closed",
-    "s_sequence",
-    "t_sequence",
-]

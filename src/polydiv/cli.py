@@ -189,7 +189,7 @@ def parse_polynomial(text: str) -> Polynomial:
 
     top = max(powers)
     coeffs = [powers.get(i, 0) for i in range(top + 1)]
-    for i, value in enumerate(coeffs):
+    for value in coeffs:
         _check_coefficient(value)
     return Polynomial(coeffs)
 
@@ -373,11 +373,7 @@ def cmd_sequence(divisor: str, kind: str, count: int) -> str:
     return ", ".join(_exact_str(term) for term in SEQUENCES[kind](views, count))
 
 
-def _handle_report(args: argparse.Namespace) -> str:
-    if args.command == "verify":
-        report = cmd_verify(args.dividend, args.divisor)
-    else:
-        report = cmd_divide(args.dividend, args.divisor, args.method)
+def _render(report: DivisionReport, args: argparse.Namespace) -> str:
     return report.to_json() if args.format == "json" else report.to_text()
 
 
@@ -407,13 +403,15 @@ def _parser() -> argparse.ArgumentParser:
     _operand(divide, "--divisor")
     divide.add_argument("--method", choices=tuple(METHODS), default="longdiv")
     divide.add_argument("--format", choices=("text", "json"), default="text")
-    divide.set_defaults(handler=_handle_report)
+    divide.set_defaults(
+        handler=lambda args: _render(cmd_divide(args.dividend, args.divisor, args.method), args)
+    )
 
     verify = sub.add_parser("verify", help="run all methods and compare exactly")
     _operand(verify, "--dividend")
     _operand(verify, "--divisor")
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(handler=_handle_report)
+    verify.set_defaults(handler=lambda args: _render(cmd_verify(args.dividend, args.divisor), args))
 
     delta = sub.add_parser("delta", help="tail determinant of one divisor")
     _operand(delta, "--divisor")

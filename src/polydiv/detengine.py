@@ -195,12 +195,14 @@ def anti_identity_sign(t: int) -> Fraction:
     return Fraction(-1) ** (t * (t - 1) // 2)
 
 
-def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int, zero=Fraction(0)) -> _Rows:
+def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> _Rows:
     """Rows 0 .. size-1 of the matrix whose entry (i, j) is
-    coeffs[shift - i + j], reading zero outside the sequence. Row i is the
-    slice of one zero-padded tuple that starts at index shift - i.
-    quotient_ratio pads with the int 0, which keeps Fraction arithmetic
-    out of its elimination."""
+    coeffs[shift - i + j], reading zero outside the nonempty sequence.
+    Row i is the slice of one padded tuple that starts at index shift - i.
+    The pad, coeffs[0] * 0, is a zero of the entries' type: Fraction
+    sequences give Fraction rows, and quotient_ratio's int sequence gives
+    int rows, which keeps Fraction arithmetic out of its elimination."""
+    zero = coeffs[0] * 0
     low = shift - size + 1
     # Lists, not generators: resized tuples refill the tuple free lists.
     padded = tuple([
@@ -226,8 +228,8 @@ def build_hankel(g: Polynomial, n: int) -> _Rows:
     vector reproduces the top dividend coefficients a_m .. a_n. These are
     the rows of the Toeplitz matrix g_(m-i+j) in reverse order.
     """
-    views = divisor_views(g)
-    m = views.degree
+    g.lead  # the zero polynomial raises ZeroDivisor here, before its degree is compared
+    m = g.degree
     if n < m:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
     size = n - m + 1
@@ -243,11 +245,11 @@ def hankel_det_closed(g: Polynomial, n: int) -> Fraction:
 
         anti_identity_sign(t - 1) * lead^(t-1).
     """
-    views = divisor_views(g)
-    if n < views.degree:
-        raise DegreeTooSmall(f"target degree {n} below divisor degree {views.degree}")
-    t = n - views.degree + 2
-    return anti_identity_sign(t - 1) * views.lead ** (t - 1)
+    lead, m = g.lead, g.degree
+    if n < m:
+        raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
+    t = n - m + 2
+    return anti_identity_sign(t - 1) * lead ** (t - 1)
 
 
 def build_bordered(f: Polynomial, g: Polynomial, x0) -> _Rows:
@@ -396,7 +398,7 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     _check_order(t)
     den, ints = _clear_denominators(g.coeffs)
     den_f, column = _clear_denominators(f.coeffs[m:])
-    window = _toeplitz(ints, m, t - 1, t - 1, zero=0)
+    window = _toeplitz(ints, m, t - 1, t - 1)
     minors = _integer_minors([[*row, a] for row, a in zip(window, column[::-1])])
     det_h = minors.pop()
     d = [Fraction((-1) ** (t - j) * den * minor, den_f * det_h) for j, minor in enumerate(minors)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from polydiv import detengine
 from polydiv.closedform import t_sequence
 from polydiv.detengine import (
     DeltaMixedSpec,
@@ -12,6 +13,7 @@ from polydiv.detengine import (
     IndexOutOfRange,
     MatrixTooLarge,
     _integer_minors,
+    _toeplitz,
     anti_identity_sign,
     build_anti_identity,
     build_bordered,
@@ -37,6 +39,7 @@ from polydiv.polycore import (
     DegreeTooSmall,
     DivisorViews,
     Polynomial,
+    ZeroDivisor,
     _clear_denominators,
     _coerce,
     divisor_views,
@@ -389,6 +392,15 @@ def test_build_hankel_rejects_small_target():
         hankel_det_closed(GOLDEN_G, 1)
 
 
+@pytest.mark.parametrize("builder", [build_hankel, hankel_det_closed])
+@pytest.mark.parametrize("n", [0, 3])
+def test_hankel_pair_rejects_zero_divisor(builder, n):
+    # The zero polynomial has no degree to compare n with; reading its
+    # lead first refuses it with the same error as every other route.
+    with pytest.raises(ZeroDivisor, match="^the zero polynomial has no leading coefficient$"):
+        builder(Polynomial([]), n)
+
+
 @given(division_pairs(max_n=9))
 def test_build_hankel_shape(pair):
     f, g = pair
@@ -531,6 +543,30 @@ def test_quotient_ratio_golden():
 def test_quotient_ratio_constant_multiple():
     f = GOLDEN_G * Polynomial([Fraction(7, 3)])
     assert quotient_ratio(f, GOLDEN_G) == Polynomial([Fraction(7, 3)])
+
+
+def test_toeplitz_pads_with_a_zero_of_the_entries_type(monkeypatch):
+    ints = _toeplitz((1, 2, 3), 1, 3, 4)
+    assert ints == ((2, 3, 0, 0), (1, 2, 3, 0), (0, 1, 2, 3))
+    assert {type(v) for row in ints for v in row} == {int}
+    fractions = _toeplitz((Fraction(1, 2), Fraction(3)), 0, 2, 3)
+    assert fractions == ((Fraction(1, 2), 3, 0), (0, Fraction(1, 2), 3))
+    assert {type(v) for row in fractions for v in row} == {Fraction}
+    # So quotient_ratio hands the integer core int rows only, padding
+    # included: here H is order 3 and anti-triangular.
+    handed = []
+    core = detengine._integer_minors
+
+    def recording_core(grid):
+        handed.append([list(row) for row in grid])
+        return core(grid)
+
+    monkeypatch.setattr(detengine, "_integer_minors", recording_core)
+    f = Polynomial([Fraction(1, 3), 0, 0, 0, 2])
+    g = Polynomial([-1, Fraction(-1, 2), 1])
+    assert quotient_ratio(f, g) == long_divide(f, g).quotient
+    (grid,) = handed
+    assert 0 in grid[0] and {type(v) for row in grid for v in row} == {int}
 
 
 def test_quotient_ratio_cubic():

@@ -1,8 +1,10 @@
 """The CLI as the benchmark sees it.
 
-Each replies case serves the seed-1 traced prefix of one benchmark
-workload through ``cli.main`` and hashes every reply, exit code, stdout
-and stderr, into one sha256. A change that alters a reply on purpose
+Each replies case serves the seed-1 traced prefix of one of the four
+benchmark workloads through ``cli.main`` and hashes every reply, exit
+code, stdout and stderr, into one sha256. ``divide-widebits`` is the
+slow one, several seconds of big-int work, most of it in requests that
+end in the output-limit refusal. A change that alters a reply on purpose
 updates the digest here and says why. The corpus is imported from
 ``perfbench/workloads.py``, so the requests are the ones the benchmark
 serves. The ``delta`` and ``sequence`` subcommands, which no workload
@@ -32,6 +34,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = {
     "verify-small": "15c4d7e39235676785dccd4938f3acd1c1f7e0223520421a16cd9097782df58d",
     "divide-highdeg": "41f9bf56b49ab2196ba67c5dee92b4d890d228c3068a880a4d8f40e4a8533d3e",
+    "divide-widebits": "7a0eb4171cb069fa493e727c75fd64dcebb89a157bcf852c86e7cda84b178c9b",
     "divide-tiny": "c468d1badcacc07b587cad74d36e84b2e7b425790e4760fdfa7bf69230bdf7d8",
 }
 DELTA_DIGEST = "52e00d8581cde98a2cdb5567089f89f0b4cb2eb002b7c26377b61d4558b3a8e5"

@@ -252,9 +252,23 @@ MUTANTS = (
     Mutant(
         "hankel_det_closed takes a target below the divisor degree",
         "src/polydiv/detengine.py",
-        "    if n < views.degree:\n",
-        "    if False:\n",
+        "    lead, m = g.lead, g.degree\n    if n < m:\n",
+        "    lead, m = g.lead, g.degree\n    if False:\n",
         ("tests/test_detengine.py::test_build_hankel_rejects_small_target",),
+    ),
+    Mutant(
+        "build_hankel compares the zero divisor's degree before reading its lead",
+        "src/polydiv/detengine.py",
+        "    g.lead  #",
+        "    #",
+        ("tests/test_detengine.py::test_hankel_pair_rejects_zero_divisor",),
+    ),
+    Mutant(
+        "_toeplitz pads with Fraction(0) whatever the entries' type",
+        "src/polydiv/detengine.py",
+        "    zero = coeffs[0] * 0\n",
+        "    zero = Fraction(0)\n",
+        ("tests/test_detengine.py::test_toeplitz_pads_with_a_zero_of_the_entries_type",),
     ),
     Mutant(
         "mixed_delta_matrix without the order cap",
