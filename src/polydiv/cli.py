@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -37,9 +38,10 @@ from .polycore import (
 MAX_DEGREE = 512
 MAX_COEFF_BITS = 4096
 # 2^4096 has 1234 decimal digits, so no value within the bit cap needs a
-# longer digit run. Longer runs are refused before int() sees them: past
-# the interpreter's int-to-str limit it raises a bare ValueError.
-MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
+# longer digit run. Longer runs are refused before int() sees them, as is
+# any run past the interpreter's int-to-str limit, which int() and str()
+# refuse with a bare ValueError; so the count here avoids str().
+MAX_DIGITS = math.floor(MAX_COEFF_BITS * math.log10(2)) + 1
 
 
 class ParseError(PolyDivError):
@@ -77,9 +79,9 @@ def _check_coefficient(value: Fraction | int, column: int | None = None) -> Frac
     return value
 
 
-# The lookbehind anchors each try at the start of a run, keeping the scan
-# linear in the text.
-_LONG_DIGIT_RUN_RE = re.compile(r"(?<!\d)\d{%d,}" % (MAX_DIGITS + 1))
+# Runs past a digit cap, compiled once per cap. The lookbehind anchors
+# each try at the start of a run, keeping the scan linear in the text.
+_long_digit_run = functools.cache(lambda cap: re.compile(r"(?<!\d)\d{%d,}" % (cap + 1)))
 _RATIONAL_RE = re.compile(r"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?")
 _TERM_RE = re.compile(
     r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*)?(?P<var>x(?:\s*\^\s*(?P<exp>[+-]?\d+))?)?"
@@ -146,11 +148,12 @@ def parse_polynomial(text: str) -> Polynomial:
     pos = _skip_ws(src, 0)
     if pos == len(src):
         raise ParseError("empty polynomial text", column=pos + 1)
-    run = _LONG_DIGIT_RUN_RE.search(src)
+    # The int-to-str limit is read per call, as it can be lowered at run
+    # time. 0 means no limit, as on an interpreter without one (int() is 0).
+    cap = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)
+    run = _long_digit_run(cap).search(src)
     if run is not None:
-        raise LimitExceeded(
-            f"digit run of {len(run.group())} digits, cap is {MAX_DIGITS}", run.start() + 1
-        )
+        raise LimitExceeded(f"digit run of {len(run.group())} digits, cap is {cap}", run.start() + 1)
     if src[pos] == "[":
         return _parse_list(src)
 

@@ -14,21 +14,22 @@ check, _division_degrees, comes from there too.
 
 Every builder returns its matrix as a tuple of rows, each a tuple of
 Fraction. H, the anti-identity and both delta matrices are windows of
-one coefficient sequence (_toeplitz); the Hessenberg form is W with
-its rows and columns reordered, and no entry is converted twice.
+one coefficient sequence (_toeplitz), which checks the order cap for
+all of them; the Hessenberg form is W with its rows and columns
+reordered, and no entry is converted twice.
 
 Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
 the formulas it checks. There is one elimination, _integer_minors: a
 fraction-free pass over integer rows that yields every maximal minor of
-an r-by-(r+1) matrix at once, and applies Bareiss scaling to a row only
-when the row is next used. maximal_minors is its checked boundary, for
-det_oracle and any caller with Fraction rows: it checks the shape,
-refuses floats and clears each row to integers. det-ratio builds its
-rows as integer windows itself, clearing the divisor and the dividend
-column once, and calls the core directly. det-ratio and pure-direct put
-the lead coefficients on the diagonal, where the pivot rule takes them
-with no row swap.
+an r-by-(r+1) matrix at once, and updates a row only when it is next
+used, straight from the pivot it was last brought to. maximal_minors
+is its checked boundary, for det_oracle and any caller with Fraction
+rows: it checks the shape, refuses floats and clears each row to
+integers. det-ratio builds its rows as integer windows itself, clearing
+the divisor and the dividend column once, and calls the core directly.
+det-ratio and pure-direct put the lead coefficients on the diagonal,
+where the pivot rule takes them with no row swap.
 """
 from __future__ import annotations
 
@@ -127,14 +128,14 @@ def _integer_minors(grid: list[list[int]]) -> list[int]:
 
     Scaling is lazy. A step with pivot p after pivot prev only multiplies
     a row whose entry in the pivot column is 0 by p / prev, so that row is
-    skipped and keeps the pivot at which it was last brought up to date.
-    The skipped ratios telescope: when the row is next used (it becomes
-    the pivot row, its factor is nonzero, or the pass ends), each entry
-    it still needs, and its factor, is multiplied by the current prev and
-    divided by that recorded pivot, exactly, since the eager value is a
-    minor. A pivot row is left as it is at its own step and counts as
-    being at the new pivot's level, the level the next step's eager
-    update starts from.
+    skipped and keeps its level, the pivot at which it was last brought
+    up to date. The skipped ratios telescope, so one rule updates every
+    row with a nonzero factor: row * p - factor * top, divided by the
+    row's level, is the eager update of its caught-up values, and exact,
+    since both are minors. A pivot row, and at the end of the pass the
+    free column, is caught up first: multiplied by prev and divided by
+    its level. A pivot row is then left as it is and counts as being at
+    the new pivot's level.
     """
     size = len(grid)
     unused = list(range(size + 1))
@@ -162,13 +163,8 @@ def _integer_minors(grid: list[list[int]]) -> list[int]:
             factor = row[col]
             if i == k or not factor:
                 continue
-            last = level[i]
-            if last != prev:
-                factor = factor * prev // last
-                for j in unused:
-                    row[j] = row[j] * prev // last
             for j in unused:
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
+                row[j] = (row[j] * pivot - factor * top[j]) // level[i]
             level[i] = pivot
         level[k] = pivot
         prev = pivot
@@ -201,7 +197,10 @@ def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> _Rows:
     Row i is the slice of one padded tuple that starts at index shift - i.
     The pad, coeffs[0] * 0, is a zero of the entries' type: Fraction
     sequences give Fraction rows, and quotient_ratio's int sequence gives
-    int rows, which keeps Fraction arithmetic out of its elimination."""
+    int rows, which keeps Fraction arithmetic out of its elimination.
+    Every structured matrix but W is such a window, so the order cap is
+    checked here, on size; W checks its own order after H's window."""
+    _check_order(size)
     zero = coeffs[0] * 0
     low = shift - size + 1
     # Lists, not generators: resized tuples refill the tuple free lists.
@@ -214,7 +213,6 @@ def _toeplitz(coeffs: Sequence, shift: int, size: int, width: int) -> _Rows:
 
 def build_anti_identity(t: int) -> _Rows:
     """Permutation matrix with ones on the anti-diagonal: the identity reversed."""
-    _check_order(t)
     return _toeplitz((Fraction(1),), 0, t, t)[::-1]
 
 
@@ -233,7 +231,6 @@ def build_hankel(g: Polynomial, n: int) -> _Rows:
     if n < m:
         raise DegreeTooSmall(f"target degree {n} below divisor degree {m}")
     size = n - m + 1
-    _check_order(size)
     return _toeplitz(g.coeffs, m, size, size)[::-1]
 
 
@@ -318,7 +315,6 @@ class DeltaMixedSpec(NamedTuple("DeltaMixedSpec", [("f", Polynomial), ("g", Poly
 def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
     """Explicit k-by-k matrix: column 0 holds a_n .. a_{n-k+1}, column
     j >= 1 holds the raw divisor coefficients g_{m-i+j-1}, a Toeplitz band."""
-    _check_order(spec.k)
     band = _toeplitz(spec.g.coeffs, spec.g.degree, spec.k, spec.k - 1)
     return tuple([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
@@ -393,12 +389,11 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     n, m = _division_degrees(f, g)
     t = n - m + 2
-    # H first, so a refusal names the smaller matrix past the cap.
-    _check_order(t - 1)
-    _check_order(t)
     den, ints = _clear_denominators(g.coeffs)
-    den_f, column = _clear_denominators(f.coeffs[m:])
+    # H's window first, so a refusal names the smaller matrix past the cap.
     window = _toeplitz(ints, m, t - 1, t - 1)
+    _check_order(t)
+    den_f, column = _clear_denominators(f.coeffs[m:])
     minors = _integer_minors([[*row, a] for row, a in zip(window, column[::-1])])
     det_h = minors.pop()
     d = [Fraction((-1) ** (t - j) * den * minor, den_f * det_h) for j, minor in enumerate(minors)]
@@ -449,7 +444,6 @@ def pure_delta_matrix(spec: DeltaPureSpec, flipped: bool = False) -> _Rows:
     changes by (-1)^k between the two. As -c(j) = g_j and g_m = lead,
     this is the Toeplitz matrix of g (of -g when flipped) at shift m - 1.
     """
-    _check_order(spec.k)
     views = spec.views
     sgn = -1 if flipped else 1
     coeffs = [-sgn * c for c in views.negated_tail] + [sgn * views.lead]

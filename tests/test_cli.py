@@ -152,6 +152,51 @@ def test_digit_cap_covers_every_value_within_bit_cap():
     assert parse_polynomial(str(widest)) == Polynomial([widest])
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no int-to-str digit limit",
+)
+
+
+@needs_digit_limit
+def test_cli_starts_under_a_lowered_digit_limit():
+    # 640, the least limit CPython takes, is below the 1234 digits of 2^4096.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from polydiv import cli; "
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    argv = ["divide", "--dividend", "x^4", "--divisor", "x^2-x-1"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-X", "int_max_str_digits=640", "-c", code, str(src), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "quotient: x^2 + x + 2\nremainder: 3x + 2\n"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "dividend, digits, column",
+    [("1" * 700, 700, 1), ("[1, " + "1" * 700 + "]", 700, 5), ("x^" + "1" * 701, 701, 3)],
+    ids=["coefficient", "list-entry", "exponent"],
+)
+def test_digit_run_cap_follows_a_lowered_limit(capsys, dividend, digits, column):
+    # Each run is past what int() converts under the limit, so the cap
+    # drops to the limit; a run of exactly the limit is still served.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(["divide", "--dividend", dividend, "--divisor", "x"])
+        assert parse_polynomial("1" * 640).degree == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"parse error: column {column}: digit run of {digits} digits, cap is 640\n"
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter has no int-to-str digit limit",

@@ -841,4 +841,15 @@ def test_matrix_order_cap():
         quotient_ratio(Polynomial([0] * 64 + [1]), Polynomial([0, 1]))
     q = quotient_ratio(Polynomial([0] * 63 + [1]), Polynomial([0, 1]))
     assert q == Polynomial([0] * 62 + [1])
+    # Order 64 itself is served by every builder.
+    x63, x64 = Polynomial([0] * 63 + [1]), Polynomial([0] * 64 + [1])
+    served = [
+        build_anti_identity(64),
+        build_hankel(Polynomial([0, 1]), 64),
+        build_bordered(x63, Polynomial([0, 1]), 0),
+        build_hessenberg(x63, Polynomial([0, 1]), 0),
+        mixed_delta_matrix(DeltaMixedSpec(f=x64, g=Polynomial([0, 1]), k=64)),
+        pure_delta_matrix(DeltaPureSpec(divisor_views(GOLDEN_G), 64)),
+    ]
+    assert [(len(rows), len(rows[0])) for rows in served] == [(64, 64)] * 6
 

@@ -38,9 +38,16 @@ MUTANTS = (
     Mutant(
         "digit run cap off by one",
         "src/polydiv/cli.py",
-        "% (MAX_DIGITS + 1))",
-        "% (MAX_DIGITS + 2))",
+        "% (cap + 1)",
+        "% (cap + 2)",
         ("tests/test_cli.py::test_long_digit_run_is_refused",),
+    ),
+    Mutant(
+        "digit run cap ignores the interpreter's int-to-str limit",
+        "src/polydiv/cli.py",
+        'min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)',
+        "MAX_DIGITS",
+        ("tests/test_cli.py::test_digit_run_cap_follows_a_lowered_limit",),
     ),
     Mutant(
         "coefficient bit cap off by one",
@@ -91,10 +98,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "maximal_minors without a lazy row's factor caught up",
+        "a lagging row divides by prev in place of its recorded level",
         "src/polydiv/detengine.py",
-        "                factor = factor * prev // last\n",
-        "",
+        "// level[i]\n",
+        "// prev\n",
         (
             "tests/test_detengine.py::test_maximal_minors_hand_cases",
             "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
@@ -271,18 +278,21 @@ MUTANTS = (
         ("tests/test_detengine.py::test_toeplitz_pads_with_a_zero_of_the_entries_type",),
     ),
     Mutant(
-        "mixed_delta_matrix without the order cap",
+        "_toeplitz without the order cap",
         "src/polydiv/detengine.py",
-        "    _check_order(spec.k)\n    band = ",
-        "    band = ",
-        ("tests/test_detengine.py::test_matrix_order_cap",),
+        "    _check_order(size)\n",
+        "",
+        (
+            "tests/test_detengine.py::test_matrix_order_cap",
+            "tests/test_cli.py::test_pure_direct_matrix_cap_is_domain_error",
+        ),
     ),
     Mutant(
-        "pure_delta_matrix without the order cap",
+        "quotient_ratio without W's order check",
         "src/polydiv/detengine.py",
-        "    _check_order(spec.k)\n    views = spec.views\n",
-        "    views = spec.views\n",
-        ("tests/test_cli.py::test_pure_direct_matrix_cap_is_domain_error",),
+        "    _check_order(t)\n    den_f, column",
+        "    den_f, column",
+        ("tests/test_detengine.py::test_matrix_order_cap",),
     ),
     Mutant(
         "verify without the reference's reconstruction check",
