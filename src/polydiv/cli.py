@@ -42,6 +42,8 @@ MAX_COEFF_BITS = 4096
 # any run past the interpreter's int-to-str limit, which int() and str()
 # refuse with a bare ValueError; so the count here avoids str().
 MAX_DIGITS = math.floor(MAX_COEFF_BITS * math.log10(2)) + 1
+# A longer parse refusal keeps only its head and tail, not a whole operand.
+MAX_MESSAGE = 300
 
 
 class ParseError(PolyDivError):
@@ -436,7 +438,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         output = args.handler(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > MAX_MESSAGE:
+            half = MAX_MESSAGE // 2
+            message = f"{message[:half]}[{len(message) - 2 * half} characters left out]{message[-half:]}"
+        print(f"parse error: {message}", file=sys.stderr)
         return 1
     except Mismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)

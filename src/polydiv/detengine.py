@@ -23,11 +23,11 @@ every closed determinant formula in the package; it shares no code with
 the formulas it checks. There is one elimination, _integer_minors: a
 fraction-free pass over integer rows that yields every maximal minor of
 an r-by-(r+1) matrix at once, and updates a row only when it is next
-used, straight from the pivot it was last brought to. maximal_minors
-is its checked boundary, for det_oracle and any caller with Fraction
-rows: it checks the shape, refuses floats and clears each row to
-integers. det-ratio builds its rows as integer windows itself, clearing
-the divisor and the dividend column once, and calls the core directly.
+used, straight from the pivot it was last brought to. It has two
+callers. det_oracle is its checked boundary for Fraction rows: it
+checks the shape, refuses floats and clears each row to integers.
+det-ratio builds its rows as integer windows itself, clearing the
+divisor and the dividend column once.
 det-ratio and pure-direct put the lead coefficients on the diagonal,
 where the pivot rule takes them with no row swap.
 """
@@ -80,43 +80,29 @@ def det_oracle(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix given as rows, by brute
     force, independent of every closed form.
 
-    One elimination at every order: the last maximal minor of the matrix
-    bordered by a zero column, whose fraction-free elimination stays
-    exact over the integers. maximal_minors checks the input, so an
-    empty, ragged or non-square matrix raises IndexOutOfRange and a
-    float entry raises TypeError.
-    """
-    return maximal_minors([tuple(row) + (0,) for row in rows])[-1]
-
-
-def maximal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
-    """The r + 1 maximal minors of an r-by-(r+1) matrix: entry j is the
-    determinant of the matrix with column j struck out.
-
-    The checked boundary of the one elimination: it refuses an empty,
-    ragged or wrongly shaped matrix with IndexOutOfRange and a float
-    entry with TypeError, clears each row to integers by its own least
-    common denominator, and divides the integer minors of
-    _integer_minors by the product of those denominators.
+    One elimination at every order: each row is cleared to integers by
+    its own least common denominator and bordered by a zero column, and
+    the last maximal minor of _integer_minors, divided by the product of
+    those denominators, is the determinant. An empty, ragged or
+    non-square matrix raises IndexOutOfRange and a float entry TypeError.
     """
     size = len(rows)
-    if size < 1 or any(len(row) != size + 1 for row in rows):
-        raise IndexOutOfRange("maximal minors need an r-by-(r+1) matrix, r >= 1")
-    # The product of the row multipliers scales every maximal minor.
+    if size < 1 or any(len(row) != size for row in rows):
+        raise IndexOutOfRange("det_oracle needs a square matrix of order >= 1")
     scale = 1
     grid = []
     for row in rows:
         den, ints = _clear_denominators([_coerce(v) for v in row])
         scale *= den
-        grid.append(ints)
-    return [Fraction(value, scale) for value in _integer_minors(grid)]
+        grid.append(ints + [0])
+    return Fraction(_integer_minors(grid)[-1], scale)
 
 
 def _integer_minors(grid: list[list[int]]) -> list[int]:
     """The r + 1 maximal minors of an r-by-(r+1) integer matrix, given as
-    a list of row lists, which it overwrites. It checks nothing: callers
-    whose rows are already integers, shaped r-by-(r+1) with r >= 1, call
-    it directly, and maximal_minors calls it for the rest.
+    a list of row lists, which it overwrites. It checks nothing: its two
+    callers, det_oracle and quotient_ratio, hand it integer rows shaped
+    r-by-(r+1) with r >= 1.
 
     One fraction-free Gauss-Jordan pass (Bareiss 1968; Nakos, Turner and
     Williams 1997) keeps every entry a minor, so every division is

@@ -372,6 +372,44 @@ def test_main_usage_error_is_parse_error(capsys, argv, name):
 
 
 @pytest.mark.parametrize(
+    "argv, head, tail",
+    [
+        (["delta", "--divisor", "x", "-k", "9" * 5000], "-k", "9'"),
+        (["delta", "--divisor", "x", "-k", "9" * 4000], "-k 999", "exceeds the degree cap 512"),
+        (["sequence", "--divisor", "x", "--kind", "t", "-n", "9" * 5000], "-n", "9'"),
+        (["delta", "--divisor", "x", "-k", "a" * 2999 + "z"], "-k", "z'"),
+        (["divide", "--dividend", "[1, " + "q" * 4999 + "z]", "--divisor", "x"], "column 5", "z'"),
+        (["divide", "--dividend", "x", "--divisor", "x", "--method", "m" * 5000], "--method", "det-ratio"),
+        (["divide", "--dividend", "x", "--divisor", "x", "--format", "f" * 5000], "--format", "json"),
+        (["s" * 5000], "command", "sequence"),
+        (["divide", "--dividend", "x", "--divisor", "x", "--" + "o" * 4999 + "z"], "unrecognized", "z"),
+    ],
+    ids=[
+        "int-5000",
+        "count-cap-4000",
+        "sequence-count",
+        "letters",
+        "list-entry",
+        "method",
+        "format",
+        "unknown-subcommand",
+        "unrecognized-option",
+    ],
+)
+def test_long_parse_refusal_keeps_head_and_tail(capsys, argv, head, tail):
+    # A refusal that would echo a whole over-long operand keeps its head,
+    # which names the argument, and its tail, which names the limit or the
+    # choices, and says how much it left out.
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.encode()) < 400
+    assert out.err.startswith("parse error: ") and head in out.err[:60]
+    assert "characters left out]" in out.err
+    assert tail in out.err[-100:]
+
+
+@pytest.mark.parametrize(
     "divisor, code, stdout, stderr",
     [
         ("x-1", 0, "quotient: x + 1\nremainder: 0\n", ""),

@@ -29,7 +29,6 @@ from polydiv.detengine import (
     divide_det_ratio,
     hankel_det_closed,
     hessenberg_det_expansion,
-    maximal_minors,
     mixed_delta_matrix,
     pure_delta_matrix,
     quotient_from_dets,
@@ -105,7 +104,7 @@ def paper_hessenberg_expansion(f, g, x0):
 def cofactor_det(rows):
     # Textbook expansion along the first row, the hand calculation the
     # golden values came from. It shares no code with the elimination
-    # behind det_oracle and maximal_minors, so it referees both.
+    # behind det_oracle and quotient_ratio, so it referees both.
     if len(rows) == 1:
         return rows[0][0]
     return sum(
@@ -169,8 +168,20 @@ def struck_minors(rows):
 
 
 def integer_minors(rows):
-    # The integer core, past the checked boundary; it overwrites its rows.
+    # The integer core on a copy of the rows, which it overwrites.
     return _integer_minors([list(row) for row in rows])
+
+
+def cleared(rows):
+    # Each row cleared to integers by its own least common denominator,
+    # and the product of those denominators, which scales every minor.
+    scale = 1
+    grid = []
+    for row in rows:
+        den, ints = _clear_denominators([_coerce(v) for v in row])
+        scale *= den
+        grid.append(ints)
+    return scale, grid
 
 
 @given(r_by_r1_matrices())
@@ -184,27 +195,23 @@ def test_det_oracle_matches_cofactor_expansion(rows):
 
 @given(r_by_r1_matrices())
 @settings(max_examples=80, deadline=None)
-def test_maximal_minors_match_oracle(rows):
-    assert maximal_minors(rows) == struck_minors(rows)
+def test_integer_minors_match_cofactor_minors(rows):
+    scale, grid = cleared(rows)
+    assert integer_minors(grid) == [scale * minor for minor in struck_minors(rows)]
 
 
 def eager_minors(rows):
-    # maximal_minors as it was before lazy scaling: every step brings
+    # _integer_minors as it was before lazy scaling: every step brings
     # every row but the pivot row up to date, whatever its factor. The
     # reference the library kernel is held to past cofactor orders.
-    scale = 1
-    grid = []
-    for row in rows:
-        den, ints = _clear_denominators([_coerce(v) for v in row])
-        scale *= den
-        grid.append(ints)
+    grid = [list(row) for row in rows]
     size = len(grid)
     unused = list(range(size + 1))
     sign = prev = 1
     for k in range(size):
         found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
         if found is None:
-            return [Fraction(0)] * (size + 1)
+            return [0] * (size + 1)
         col, r = found
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
@@ -219,11 +226,10 @@ def eager_minors(rows):
                     row[j] = (row[j] * pivot - factor * top[j]) // prev
         prev = pivot
     (free,) = unused
-    signed = [
-        prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free]
+    return [
+        sign * (prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free])
         for j in range(size + 1)
     ]
-    return [Fraction(sign * value, scale) for value in signed]
 
 
 @st.composite
@@ -274,31 +280,21 @@ def lazy_row_matrices(draw, families=("small", "rational", "wide")):
 
 @given(lazy_row_matrices())
 @settings(max_examples=150, deadline=None)
-def test_maximal_minors_match_eager_elimination(rows):
-    assert maximal_minors(rows) == eager_minors(rows)
+def test_integer_minors_match_eager_elimination(rows):
+    _, grid = cleared(rows)
+    assert integer_minors(grid) == eager_minors(grid)
 
 
-def test_maximal_minors_match_eager_elimination_on_sparse_rows():
+def test_integer_minors_match_eager_elimination_on_sparse_rows():
     # Sparse small-integer rows, orders 2 to 7: row swaps between rows
     # last brought up to date at different pivots are common here, and
-    # rare in the structured shapes above. The integer core, handed the
-    # rows directly, gives the same minors.
+    # rare in the structured shapes above.
     rng = random.Random(0)
     entries = (0, 0, 0, 0, 1, -1, 2, 3)
     for _ in range(2000):
         r = rng.randint(2, 7)
         rows = [[rng.choice(entries) for _ in range(r + 1)] for _ in range(r)]
-        assert integer_minors(rows) == maximal_minors(rows) == eager_minors(rows), rows
-
-
-@given(lazy_row_matrices(families=("small", "wide")))
-@settings(max_examples=100, deadline=None)
-def test_integer_core_matches_checked_boundary(rows):
-    # On rows that are already integers the core, without the boundary's
-    # coercion and clearing, returns the same minors, as ints.
-    minors = integer_minors(rows)
-    assert all(type(v) is int for v in minors)
-    assert minors == maximal_minors(rows) == eager_minors(rows)
+        assert integer_minors(rows) == eager_minors(rows), rows
 
 
 @pytest.mark.parametrize(
@@ -323,29 +319,27 @@ def test_integer_core_matches_checked_boundary(rows):
         # where row 0, step 0's pivot row, is updated from pivot 2.
         ([[2, 1, 1, 1], [1, 3, 1, 2], [0, 1, 4, 1]], [3, -11, 2, 19]),
         # r = 1: striking one entry leaves the other.
-        ([[5, Fraction(-7, 3)]], [Fraction(-7, 3), 5]),
+        ([[5, -7]], [-7, 5]),
         ([[0, 0]], [0, 0]),
     ],
 )
-def test_maximal_minors_hand_cases(rows, expected):
-    assert maximal_minors(rows) == expected == struck_minors(rows)
+def test_integer_minors_hand_cases(rows, expected):
+    assert integer_minors(rows) == expected == struck_minors(rows)
 
 
-def test_maximal_minors_rejects_bad_shapes():
-    for rows in ([], [[1, 2]] * 2, [[1, 2, 3]], [[1, 2, 3], [4, 5]]):
-        with pytest.raises(IndexOutOfRange):
-            maximal_minors(rows)
-    with pytest.raises(TypeError):
-        maximal_minors([[0.5, 1]])
+def test_det_oracle_clears_each_row_by_its_own_denominator():
+    # Rows with denominators 6 and 35: each row's own factor scales the
+    # integer minor, and their product divides it out.
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert det_oracle(rows) == Fraction(1, 210) == cofactor_det(rows)
+    assert det_oracle([[Fraction(-7, 3)]]) == Fraction(-7, 3)
 
 
 def test_det_oracle_rejects_non_square():
-    # Bordering makes an r-by-c input r-by-(c+1), so maximal_minors'
-    # shape check refuses every matrix that is not square.
     ragged_or_empty = ([[1, 2], [3]], [])
     not_square = ([[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]])
     for rows in ragged_or_empty + not_square:
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match="det_oracle"):
             det_oracle(rows)
 
 
@@ -585,11 +579,12 @@ def test_quotient_ratio_matches_oracle(pair, x0):
 
 
 def cofactor_ratio(f, g):
-    # The ratio as the checked boundary gives it, over W's rows above the
-    # x0 row in their built order: the reference for the integer rows.
+    # The ratio over W's rows above the x0 row, in their built order, with
+    # each minor from its own elimination: det_oracle on the square left
+    # by striking one column. The reference for the integer rows.
     rows = build_bordered(f, g, 0)[:-1]
     t = len(rows) + 1
-    minors = maximal_minors(rows)
+    minors = [det_oracle(square) for square in struck(rows)]
     det_h = minors.pop()
     return Polynomial([(-1) ** (t - j) * minor / det_h for j, minor in enumerate(minors)][::-1])
 

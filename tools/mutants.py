@@ -50,6 +50,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_digit_run_cap_follows_a_lowered_limit",),
     ),
     Mutant(
+        "parse refusals echo a whole over-long message",
+        "src/polydiv/cli.py",
+        "        if len(message) > MAX_MESSAGE:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_long_parse_refusal_keeps_head_and_tail",),
+    ),
+    Mutant(
         "coefficient bit cap off by one",
         "src/polydiv/cli.py",
         "if bits > MAX_COEFF_BITS:",
@@ -71,58 +78,72 @@ MUTANTS = (
         ("tests/test_detengine.py::test_matrix_order_cap",),
     ),
     Mutant(
-        "maximal_minors without the row-swap sign",
+        "_integer_minors without the row-swap sign",
         "src/polydiv/detengine.py",
         "            sign = -sign\n",
         "",
-        ("tests/test_detengine.py::test_maximal_minors_match_oracle",),
+        ("tests/test_detengine.py::test_integer_minors_match_cofactor_minors",),
     ),
     Mutant(
-        "maximal_minors without the end-of-pass catch-up",
+        "_integer_minors without the end-of-pass catch-up",
         "src/polydiv/detengine.py",
         "    for row, last in zip(grid, level):\n        row[free] = row[free] * prev // last\n",
         "",
         (
-            "tests/test_detengine.py::test_maximal_minors_hand_cases",
-            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+            "tests/test_detengine.py::test_integer_minors_hand_cases",
+            "tests/test_detengine.py::test_integer_minors_match_eager_elimination",
         ),
     ),
     Mutant(
-        "maximal_minors without the pivot row's catch-up",
+        "_integer_minors without the pivot row's catch-up",
         "src/polydiv/detengine.py",
         "        if level[k] != prev:\n            for j in unused:\n                top[j] = top[j] * prev // level[k]\n",
         "",
         (
-            "tests/test_detengine.py::test_maximal_minors_hand_cases",
-            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+            "tests/test_detengine.py::test_integer_minors_hand_cases",
+            "tests/test_detengine.py::test_integer_minors_match_eager_elimination",
         ),
     ),
     Mutant(
-        "a lagging row divides by prev in place of its recorded level",
+        "_integer_minors divides a lagging row by prev in place of its recorded level",
         "src/polydiv/detengine.py",
         "// level[i]\n",
         "// prev\n",
         (
-            "tests/test_detengine.py::test_maximal_minors_hand_cases",
-            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+            "tests/test_detengine.py::test_integer_minors_hand_cases",
+            "tests/test_detengine.py::test_integer_minors_match_eager_elimination",
         ),
     ),
     Mutant(
-        "maximal_minors without the pivot row's level advanced",
+        "_integer_minors without the pivot row's level advanced",
         "src/polydiv/detengine.py",
         "        level[k] = pivot\n",
         "",
         (
-            "tests/test_detengine.py::test_maximal_minors_hand_cases",
-            "tests/test_detengine.py::test_maximal_minors_match_eager_elimination",
+            "tests/test_detengine.py::test_integer_minors_hand_cases",
+            "tests/test_detengine.py::test_integer_minors_match_eager_elimination",
         ),
     ),
     Mutant(
-        "maximal_minors without the level swap",
+        "_integer_minors without the level swap",
         "src/polydiv/detengine.py",
         "            level[k], level[r] = level[r], level[k]\n",
         "",
-        ("tests/test_detengine.py::test_maximal_minors_match_eager_elimination_on_sparse_rows",),
+        ("tests/test_detengine.py::test_integer_minors_match_eager_elimination_on_sparse_rows",),
+    ),
+    Mutant(
+        "det_oracle leaves a row's denominator out of the scale",
+        "src/polydiv/detengine.py",
+        "        scale *= den\n",
+        "        scale = den\n",
+        ("tests/test_detengine.py::test_det_oracle_clears_each_row_by_its_own_denominator",),
+    ),
+    Mutant(
+        "det_oracle accepts a non-square matrix",
+        "src/polydiv/detengine.py",
+        "if size < 1 or any(len(row) != size for row in rows):",
+        "if size < 1:",
+        ("tests/test_detengine.py::test_det_oracle_rejects_non_square",),
     ),
     Mutant(
         "delta_pure_direct without the column move's sign",
