@@ -27,8 +27,10 @@ from .detengine import (
 )
 from .polycore import (
     DivisionResult,
+    OutputTooLarge,
     Polynomial,
     PolyDivError,
+    call_with_output_limit,
     divisor_views,
     long_divide,
 )
@@ -68,8 +70,10 @@ class Mismatch(PolyDivError):
     """Two division methods produced different exact results."""
 
 
-class OutputTooLarge(PolyDivError):
-    """A result value has too many decimal digits to print."""
+def _digit_limit() -> int:
+    # The interpreter's int-to-str limit, read per call, as it can be
+    # changed at run time; 0, no limit, on an interpreter without one.
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _check_coefficient(value: Fraction | int, column: int | None = None) -> Fraction | int:
@@ -150,9 +154,7 @@ def parse_polynomial(text: str) -> Polynomial:
     pos = _skip_ws(src, 0)
     if pos == len(src):
         raise ParseError("empty polynomial text", column=pos + 1)
-    # The int-to-str limit is read per call, as it can be lowered at run
-    # time. 0 means no limit, as on an interpreter without one (int() is 0).
-    cap = min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)
+    cap = min(MAX_DIGITS, _digit_limit() or MAX_DIGITS)
     run = _long_digit_run(cap).search(src)
     if run is not None:
         raise LimitExceeded(f"digit run of {len(run.group())} digits, cap is {cap}", run.start() + 1)
@@ -205,10 +207,7 @@ def _exact_str(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        raise OutputTooLarge(
-            f"a result value has more than {sys.get_int_max_str_digits()} "
-            "decimal digits, the interpreter's int-to-str limit"
-        ) from None
+        raise OutputTooLarge(_digit_limit()) from None
 
 
 def render_polynomial(p: Polynomial) -> str:
@@ -317,8 +316,10 @@ def _reconstructed(
 def cmd_divide(dividend: str, divisor: str, method: str) -> DivisionReport:
     f = parse_polynomial(dividend)
     g = parse_polynomial(divisor)
-    result = _reconstructed(method, f, g, METHODS[method](f, g))
-    return DivisionReport(dividend, divisor, method, result)
+    # The route stops at the first coefficient that could not be printed,
+    # so neither the rest of it nor the reconstruction check runs.
+    result = call_with_output_limit(_digit_limit(), METHODS[method], f, g)
+    return DivisionReport(dividend, divisor, method, _reconstructed(method, f, g, result))
 
 
 def cmd_verify(dividend: str, divisor: str) -> DivisionReport:
@@ -375,7 +376,9 @@ def cmd_delta(divisor: str, k: int, variant: str) -> str:
 def cmd_sequence(divisor: str, kind: str, count: int) -> str:
     _check_count("-n", count)
     views = divisor_views(parse_polynomial(divisor))
-    return ", ".join(_exact_str(term) for term in SEQUENCES[kind](views, count))
+    # The terms print in order, so the first one past the limit ends the run.
+    terms = call_with_output_limit(_digit_limit(), SEQUENCES[kind], views, count)
+    return ", ".join(_exact_str(term) for term in terms)
 
 
 def _render(report: DivisionReport, args: argparse.Namespace) -> str:

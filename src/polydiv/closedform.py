@@ -21,6 +21,7 @@ from .polycore import (
     _clear_denominators,
     _convolve,
     _powers,
+    _printable,
     divisor_views,
 )
 
@@ -35,11 +36,13 @@ def s_sequence(views: DivisorViews, count: int) -> tuple[Fraction, ...]:
 
     with -g_j / lead the negated tail of the monic divisor, read as 0
     outside 0..m-1. For x^2 - x - 1 this is the Fibonacci sequence.
+    Each term is held to the output limit as it is formed.
     """
     # s_r = lead * t_r, and lead = L/D turns t_r = D * T_r / L^r into
     # s_r = T_r / L^(r-1).
     _, lead, terms = _general_terms(views, count)
-    return tuple(map(Fraction, terms, _powers(lead, count)))
+    powers = _powers(lead, count)
+    return tuple([_printable(Fraction(term, power)) for term, power in zip(terms, powers)])
 
 
 def _general_terms(
@@ -74,11 +77,12 @@ def t_sequence(views: DivisorViews, count: int) -> tuple[Fraction, ...]:
         t_r = (1/lead) * sum over i of c(m - i) * t_{r-i},  i = 1 .. r-1,
 
     with c(j) the negated divisor tail. Term for term this is the monic
-    sequence divided by the leading coefficient: lead * t_r = s_r.
+    sequence divided by the leading coefficient: lead * t_r = s_r. Each
+    term is held to the output limit as it is formed.
     """
     den, lead, terms = _general_terms(views, count)
-    powers = _powers(lead, count + 1)
-    return tuple(Fraction(den * term, power) for term, power in zip(terms, powers[1:]))
+    powers = _powers(lead, count + 1)[1:]
+    return tuple([_printable(Fraction(den * term, power)) for term, power in zip(terms, powers)])
 
 
 def _division_degrees(f: Polynomial, g: Polynomial) -> tuple[int, int]:
@@ -99,7 +103,8 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
         d_{n-m-k} = sum over j of t_{k+1-j} * a_{n-j},  j = 0 .. k,
 
     for k = 0 .. n-m. Only the top n-m+1 dividend coefficients enter, so
-    perturbing any a_i with i < m cannot change the quotient.
+    perturbing any a_i with i < m cannot change the quotient. Each d is
+    held to the output limit as it is formed, top-first.
     """
     n, m = _division_degrees(f, g)
     count = n - m + 1
@@ -108,7 +113,7 @@ def quotient_closed(f: Polynomial, g: Polynomial) -> Polynomial:
     den, lead, terms = _general_terms(divisor_views(g), count)
     powers = _powers(lead, count + 1)
     values = [a * p for a, p in zip(f.coeffs[::-1], powers[:count])]
-    d = _convolve([den * term for term in terms], values, powers[1:])
+    d = [_printable(c) for c in _convolve([den * term for term in terms], values, powers[1:])]
     return Polynomial(d[::-1])
 
 
@@ -119,12 +124,12 @@ def remainder_closed(f: Polynomial, g: Polynomial, q: Polynomial) -> Polynomial:
     for k = 0 .. m-1. The quotient being exact makes everything from
     degree m upward cancel, so only the low m coefficients are formed.
     Passing a q that is not the true quotient of f by g produces garbage;
-    divide_with guards that pairing.
+    divide_with guards that pairing. Each r_k is held to the output limit.
     """
     views = divisor_views(g)
     den, tail = _clear_denominators(views.negated_tail)
     low = _convolve(tail, q.coeffs, [den] * views.degree)
-    return Polynomial([f.coeff(k) + s for k, s in enumerate(low)])
+    return Polynomial([_printable(f.coeff(k) + s) for k, s in enumerate(low)])
 
 
 def divide_with(

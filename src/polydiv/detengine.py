@@ -34,7 +34,7 @@ where the pivot rule takes them with no row swap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .closedform import _division_degrees, _general_terms, divide_with
 # t_sequence is unused here; perfbench/tracing.py patches detengine.t_sequence.
@@ -48,6 +48,7 @@ from .polycore import (
     _clear_denominators,
     _coerce,
     _powers,
+    _printable,
     divisor_views,
     evaluate,
 )
@@ -305,8 +306,9 @@ def mixed_delta_matrix(spec: DeltaMixedSpec) -> _Rows:
     return tuple([(a,) + row for a, row in zip(spec.f.coeffs[::-1], band)])
 
 
-def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Fraction]:
-    # The order-k matrix is the pure-delta matrix with the dividend
+def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> Iterator[Fraction]:
+    # delta_1 .. delta_kmax, each formed only when it is taken. The
+    # order-k matrix is the pure-delta matrix with the dividend
     # column in place of its first column, so expanding along the last
     # row gives the pure deltas' recurrence with that column as input.
     # Driven by u_r = F * a_{n-r+1} and with g cleared to D*g, it gives
@@ -314,7 +316,7 @@ def _mixed_deltas(f: Polynomial, g: Polynomial, kmax: int) -> list[Fraction]:
     # both D^(k-1) and the sign.
     den_f, column = _clear_denominators(f.coeffs[::-1][:kmax])
     den, _, values = _general_terms(divisor_views(g), kmax, column)
-    return [Fraction(v, p * den_f) for v, p in zip(values, _powers(-den, kmax))]
+    return (Fraction(v, p * den_f) for v, p in zip(values, _powers(-den, kmax)))
 
 
 def delta_mixed(spec: DeltaMixedSpec) -> Fraction:
@@ -324,7 +326,7 @@ def delta_mixed(spec: DeltaMixedSpec) -> Fraction:
     yields every leading minor up to order k in O(k*m) steps. The tests
     hold this equal to det_oracle(mixed_delta_matrix(spec)).
     """
-    return _mixed_deltas(spec.f, spec.g, spec.k)[-1]
+    return list(_mixed_deltas(spec.f, spec.g, spec.k))[-1]
 
 
 def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -335,13 +337,15 @@ def quotient_from_dets(f: Polynomial, g: Polynomial) -> Polynomial:
         d_j = (-1)^(t-j) * lead^(j+1-t) * delta_{t-j-1},
 
     for j = 0 .. n-m. The delta indices run t-1 down to 1, so one call
-    of the mixed-delta kernel, _mixed_deltas, fills them all.
+    of the mixed-delta kernel, _mixed_deltas, fills them all, top
+    coefficient first; each is held to the output limit as it is formed.
     """
     n, m = _division_degrees(f, g)
     count = n - m + 1
     # With k = t-j-1 the factor is -(-1/lead)^k, for k = 1 .. count.
     scales = _powers(-1 / g.lead, count + 1)[1:]
-    return Polynomial([-s * delta for s, delta in zip(scales, _mixed_deltas(f, g, count))][::-1])
+    d = [_printable(-s * delta) for s, delta in zip(scales, _mixed_deltas(f, g, count))]
+    return Polynomial(d[::-1])
 
 
 def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -367,7 +371,8 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
 
         d_(n-m-j) = (-1)^(t-j) * D * I_j / (F * I_H),
 
-    one Fraction per coefficient. The rows go in reverse order, which
+    one Fraction per coefficient, each held to the output limit as it is
+    formed, top-first. The rows go in reverse order, which
     puts the lead coefficients on the diagonal: each pivot row then holds
     only its lead and its dividend entry, so fill-in stays in the
     dividend column. The reversal multiplies every minor by the same
@@ -382,7 +387,10 @@ def quotient_ratio(f: Polynomial, g: Polynomial) -> Polynomial:
     den_f, column = _clear_denominators(f.coeffs[m:])
     minors = _integer_minors([[*row, a] for row, a in zip(window, column[::-1])])
     det_h = minors.pop()
-    d = [Fraction((-1) ** (t - j) * den * minor, den_f * det_h) for j, minor in enumerate(minors)]
+    d = [
+        _printable(Fraction((-1) ** (t - j) * den * minor, den_f * det_h))
+        for j, minor in enumerate(minors)
+    ]
     return Polynomial(d[::-1])
 
 
@@ -398,7 +406,7 @@ def hessenberg_det_expansion(f: Polynomial, g: Polynomial, x0) -> Fraction:
     n, m = _division_degrees(f, g)
     t = n - m + 2
     # Reversed, the deltas are the coefficients of a polynomial in -x0 * lead.
-    deltas = _mixed_deltas(f, g, t - 1)
+    deltas = list(_mixed_deltas(f, g, t - 1))
     return evaluate(Polynomial(deltas[::-1]), -_coerce(x0) * g.lead)
 
 

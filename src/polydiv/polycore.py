@@ -5,15 +5,27 @@ every arithmetic identity in this package is decided by exact equality.
 A polynomial is a dense ascending coefficient sequence: index i holds the
 coefficient of x^i. The canonical zero polynomial is the empty sequence,
 and its degree is None rather than a sentinel integer.
+
+Every route forms its output coefficients top-first and passes each
+through _printable as it is formed. During call_with_output_limit(digits,
+...), that raises OutputTooLarge at the first coefficient whose numerator
+or denominator has more than ``digits`` decimal digits, so the rest of
+the route never runs. Outside such a call, or at a limit of 0, nothing is
+refused. The CLI's divide and sequence hold their routes to the
+interpreter's int-to-str limit this way; every other caller, verify and
+delta among them, gets whole results.
 """
 from __future__ import annotations
 
+import functools
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 Scalar = Union[Fraction, int, str]
+_T = TypeVar("_T")
 
 
 class PolyDivError(Exception):
@@ -26,6 +38,43 @@ class ZeroDivisor(PolyDivError):
 
 class DegreeTooSmall(PolyDivError):
     """A degree precondition does not hold (e.g. deg f < deg g)."""
+
+
+class OutputTooLarge(PolyDivError):
+    """A result value has more decimal digits than the limit allows."""
+
+    def __init__(self, limit: int):
+        super().__init__(
+            f"a result value has more than {limit} decimal digits, "
+            "the interpreter's int-to-str limit"
+        )
+
+
+# The output limit in decimal digits and its bound 10^limit; (0, 0)
+# refuses nothing.
+_LIMIT: ContextVar[tuple[int, int]] = ContextVar("output_limit", default=(0, 0))
+# 10^4300 takes tens of microseconds to form, so each bound is formed once.
+_bound = functools.cache(lambda digits: 10**digits if digits else 0)
+
+
+def call_with_output_limit(digits: int, fn: Callable[..., _T], *args) -> _T:
+    """fn(*args), with every route output formed during the call refused
+    past ``digits`` decimal digits in its numerator or denominator; 0
+    refuses nothing. The previous limit is back in force on return."""
+    token = _LIMIT.set((digits, _bound(digits)))
+    try:
+        return fn(*args)
+    finally:
+        _LIMIT.reset(token)
+
+
+def _printable(value: Fraction) -> Fraction:
+    """value itself, or OutputTooLarge if the output limit in force
+    refuses it: its numerator or denominator is at least 10^limit."""
+    limit, bound = _LIMIT.get()
+    if bound and (abs(value.numerator) >= bound or value.denominator >= bound):
+        raise OutputTooLarge(limit)
+    return value
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -104,7 +153,7 @@ class Polynomial:
             short, long_ = sorted((self.coeffs, other.coeffs), key=len)
             den, weights = _clear_denominators(short[::-1])
             count = len(short) + len(long_) - 1
-            return Polynomial(_convolve(weights, long_[::-1], [den] * count)[::-1])
+            return Polynomial(list(_convolve(weights, long_[::-1], [den] * count))[::-1])
         return Polynomial([c * _coerce(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -192,10 +241,11 @@ def _powers(base: int, count: int) -> list[int]:
 
 def _convolve(
     weights: Sequence[int], values: Sequence[Fraction], scales: Sequence[int]
-) -> list[Fraction]:
+) -> Iterator[Fraction]:
     """Exact out[k] = (sum over j of weights[k-j] * values[j]) / scales[k]
     for k = 0 .. len(scales)-1, with j running over the window
-    max(0, k - len(weights) + 1) .. min(k, len(values) - 1).
+    max(0, k - len(weights) + 1) .. min(k, len(values) - 1), yielded in
+    order of k, so a caller that stops early skips the rest.
 
     Fraction-free: weights and scales are integers, and the values are
     cleared over a running common denominator. When values[k] brings a
@@ -207,7 +257,6 @@ def _convolve(
     width = len(back)
     nums: list[int] = []
     den = 1
-    out = []
     for k, scale in enumerate(scales):
         lo = max(0, k - width + 1)
         if k < len(values):
@@ -219,8 +268,7 @@ def _convolve(
             nums.append(num * (den // d))
         hi = min(k + 1, len(nums))
         acc = sum(map(mul, back[width - 1 - k + lo : width - 1 - k + hi], nums[lo:hi]))
-        out.append(Fraction(acc, scale * den))
-    return out
+        yield Fraction(acc, scale * den)
 
 
 def evaluate(p: Polynomial, x0: Scalar) -> Fraction:
@@ -243,7 +291,8 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
     D*g, with integer coefficients and lead L. The m+1 working remainder
     entries are integer numerators over one running scale, each dividend
     coefficient is scaled once as it enters that window, and each output
-    coefficient is normalised as one Fraction.
+    coefficient is normalised as one Fraction and held to the output
+    limit as soon as it is formed.
     """
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
@@ -263,7 +312,7 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
         window.append(a.numerator * (scale // d))
         if len(window) > m:
             top = window[0]
-            q.append(Fraction(top * den, scale * lead))
+            q.append(_printable(Fraction(top * den, scale * lead)))
             if top:
                 window = [lead * w - top * c for w, c in zip(window[1:], tail)]
                 scale *= lead
@@ -271,7 +320,7 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
                 del window[0]
     return DivisionResult(
         quotient=Polynomial(q[::-1]),
-        remainder=Polynomial([Fraction(w, scale) for w in reversed(window)]),
+        remainder=Polynomial([_printable(Fraction(w, scale)) for w in reversed(window)]),
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiv import cli, detengine
+from polydiv import cli, closedform, detengine, polycore
 from polydiv.cli import (
     LimitExceeded,
     Mismatch,
@@ -23,7 +23,7 @@ from polydiv.cli import (
     parse_polynomial,
     render_polynomial,
 )
-from polydiv.polycore import DegreeTooSmall, DivisionResult, Polynomial, ZeroDivisor, long_divide
+from polydiv.polycore import DegreeTooSmall, DivisionResult, Polynomial, ZeroDivisor, divisor_views, long_divide
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=8).map(Polynomial)
@@ -536,6 +536,87 @@ def test_main_mismatch_exit_with_unprintable_value(capsys, monkeypatch):
         "mismatch: method closed disagrees with longdiv: quotient coefficient of x^0 differs"
     )
     assert str(sys.get_int_max_str_digits()) in out.err
+
+
+# x^20 / (3^700 x - 1): the quotient coefficient of x^(19-i) is
+# 1/3^(700(i+1)), 334(i+1) digits, so x^7's, the 13th, is the first past
+# the default limit of 4300 digits; the constant term has 6680.
+WIDE = 3**700
+WIDE_ARGV = ["--dividend", "x^20", "--divisor", f"{WIDE}x - 1"]
+WIDE_QUOTIENT = Polynomial([Fraction(1, WIDE ** (20 - i)) for i in range(20)])
+OUTPUT_REFUSAL = "error: a result value has more than 4300 decimal digits, the interpreter's int-to-str limit\n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Every value that a route or sequence holds to the output limit, in
+    the order formed."""
+    values = []
+    printable = polycore._printable
+
+    def recorded(value):
+        values.append(value)
+        return printable(value)
+
+    for module in (polycore, closedform, detengine):
+        monkeypatch.setattr(module, "_printable", recorded)
+    return values
+
+
+@pytest.mark.parametrize("method", list(cli.METHODS))
+def test_divide_stops_at_the_first_coefficient_past_the_limit(capsys, default_digit_limit, formed, method):
+    assert cli.main(["divide", *WIDE_ARGV, "--method", method]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", OUTPUT_REFUSAL)
+    # Top-first, x^19 .. x^7, and nothing after x^7's 4342 digits.
+    assert formed == [Fraction(1, WIDE**k) for k in range(1, 14)]
+    assert 10**4341 < formed[-1].denominator < 10**4342
+
+
+def test_library_calls_are_held_to_no_limit(capsys, default_digit_limit):
+    whole = DivisionResult(quotient=WIDE_QUOTIENT, remainder=Polynomial([Fraction(1, WIDE**20)]))
+    f, g = parse_polynomial("x^20"), parse_polynomial(f"{WIDE}x - 1")
+    assert long_divide(f, g) == whole
+    assert cli.main(["divide", *WIDE_ARGV]) == 2
+    capsys.readouterr()
+    assert long_divide(f, g) == whole
+    assert 10**6679 < whole.remainder.coeffs[0].denominator < 10**6680
+
+
+def test_divide_refuses_a_faulty_route_at_the_limit_before_its_check(capsys, monkeypatch, default_digit_limit):
+    # A wrong answer past the limit ends in the limit's exit 2, not the
+    # reconstruction check's exit 3: the route stops before the check runs.
+    def corrupted(f, g):
+        good = long_divide(f, g)
+        return DivisionResult(quotient=good.quotient + Polynomial([1]), remainder=good.remainder)
+
+    monkeypatch.setitem(cli.METHODS, "closed", corrupted)
+    assert cli.main(["divide", *WIDE_ARGV, "--method", "closed"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", OUTPUT_REFUSAL)
+
+
+@pytest.mark.parametrize("kind", ["s", "t"])
+def test_sequence_stops_at_the_first_term_past_the_limit(capsys, default_digit_limit, formed, kind):
+    # For x - 3^700 both sequences read 3^(700(r-1)), so the 14th term is
+    # the first past the limit.
+    assert cli.main(["sequence", "--divisor", f"x - {WIDE}", "--kind", kind, "-n", "20"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", OUTPUT_REFUSAL)
+    assert formed == [Fraction(WIDE**k) for k in range(14)]
+    formed.clear()
+    sequence = cli.SEQUENCES[kind](divisor_views(parse_polynomial(f"x - {WIDE}")), 20)
+    assert sequence == tuple(Fraction(WIDE**k) for k in range(20)) == tuple(formed)
 
 
 def test_main_sequence_and_delta(capsys):

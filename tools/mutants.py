@@ -45,9 +45,50 @@ MUTANTS = (
     Mutant(
         "digit run cap ignores the interpreter's int-to-str limit",
         "src/polydiv/cli.py",
-        'min(MAX_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)',
+        "min(MAX_DIGITS, _digit_limit() or MAX_DIGITS)",
         "MAX_DIGITS",
         ("tests/test_cli.py::test_digit_run_cap_follows_a_lowered_limit",),
+    ),
+    Mutant(
+        "_printable never refuses",
+        "src/polydiv/polycore.py",
+        "    if bound and (abs(value.numerator) >= bound or value.denominator >= bound):\n",
+        "    if False:\n",
+        ("tests/test_polycore.py::test_printable_refuses_from_ten_to_the_limit",),
+    ),
+    Mutant(
+        "_printable lets 10^limit through",
+        "src/polydiv/polycore.py",
+        "abs(value.numerator) >= bound or value.denominator >= bound",
+        "abs(value.numerator) > bound or value.denominator > bound",
+        ("tests/test_polycore.py::test_printable_refuses_from_ten_to_the_limit",),
+    ),
+    Mutant(
+        "the output limit outlives its call",
+        "src/polydiv/polycore.py",
+        "        _LIMIT.reset(token)\n",
+        "        pass\n",
+        (
+            "tests/test_polycore.py::test_output_limit_ends_with_its_call",
+            "tests/test_cli.py::test_library_calls_are_held_to_no_limit",
+        ),
+    ),
+    Mutant(
+        "divide holds its route to no output limit",
+        "src/polydiv/cli.py",
+        "    result = call_with_output_limit(_digit_limit(), METHODS[method], f, g)\n",
+        "    result = METHODS[method](f, g)\n",
+        (
+            "tests/test_cli.py::test_divide_stops_at_the_first_coefficient_past_the_limit",
+            "tests/test_cli.py::test_divide_refuses_a_faulty_route_at_the_limit_before_its_check",
+        ),
+    ),
+    Mutant(
+        "sequence holds its terms to no output limit",
+        "src/polydiv/cli.py",
+        "    terms = call_with_output_limit(_digit_limit(), SEQUENCES[kind], views, count)\n",
+        "    terms = SEQUENCES[kind](views, count)\n",
+        ("tests/test_cli.py::test_sequence_stops_at_the_first_term_past_the_limit",),
     ),
     Mutant(
         "parse refusals echo a whole over-long message",
