@@ -30,6 +30,7 @@ from .polycore import (
     OutputTooLarge,
     Polynomial,
     PolyDivError,
+    _digit_limit,
     call_with_output_limit,
     divisor_views,
     long_divide,
@@ -68,12 +69,6 @@ class LimitExceeded(ParseError):
 
 class Mismatch(PolyDivError):
     """Two division methods produced different exact results."""
-
-
-def _digit_limit() -> int:
-    # The interpreter's int-to-str limit, read per call, as it can be
-    # changed at run time; 0, no limit, on an interpreter without one.
-    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _check_coefficient(value: Fraction | int, column: int | None = None) -> Fraction | int:
@@ -207,7 +202,7 @@ def _exact_str(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        raise OutputTooLarge(_digit_limit()) from None
+        raise OutputTooLarge() from None
 
 
 def render_polynomial(p: Polynomial) -> str:
@@ -318,7 +313,7 @@ def cmd_divide(dividend: str, divisor: str, method: str) -> DivisionReport:
     g = parse_polynomial(divisor)
     # The route stops at the first coefficient that could not be printed,
     # so neither the rest of it nor the reconstruction check runs.
-    result = call_with_output_limit(_digit_limit(), METHODS[method], f, g)
+    result = call_with_output_limit(METHODS[method], f, g)
     return DivisionReport(dividend, divisor, method, _reconstructed(method, f, g, result))
 
 
@@ -377,7 +372,7 @@ def cmd_sequence(divisor: str, kind: str, count: int) -> str:
     _check_count("-n", count)
     views = divisor_views(parse_polynomial(divisor))
     # The terms print in order, so the first one past the limit ends the run.
-    terms = call_with_output_limit(_digit_limit(), SEQUENCES[kind], views, count)
+    terms = call_with_output_limit(SEQUENCES[kind], views, count)
     return ", ".join(_exact_str(term) for term in terms)
 
 

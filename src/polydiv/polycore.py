@@ -7,18 +7,19 @@ coefficient of x^i. The canonical zero polynomial is the empty sequence,
 and its degree is None rather than a sentinel integer.
 
 Every route forms its output coefficients top-first and passes each
-through _printable as it is formed. During call_with_output_limit(digits,
+through _printable as it is formed. During call_with_output_limit(fn,
 ...), that raises OutputTooLarge at the first coefficient whose numerator
-or denominator has more than ``digits`` decimal digits, so the rest of
-the route never runs. Outside such a call, or at a limit of 0, nothing is
-refused. The CLI's divide and sequence hold their routes to the
-interpreter's int-to-str limit this way; every other caller, verify and
-delta among them, gets whole results.
+or denominator has more decimal digits than the interpreter's int-to-str
+limit, so the rest of the route never runs. Outside such a call, or at a
+limit of 0, nothing is refused. The CLI's divide and sequence hold their
+routes to the limit this way; every other caller, verify and delta among
+them, gets whole results. This module is the one reader of that limit.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from contextvars import ContextVar
 from fractions import Fraction
 from operator import mul
@@ -40,28 +41,32 @@ class DegreeTooSmall(PolyDivError):
     """A degree precondition does not hold (e.g. deg f < deg g)."""
 
 
-class OutputTooLarge(PolyDivError):
-    """A result value has more decimal digits than the limit allows."""
+def _digit_limit() -> int:
+    """The interpreter's int-to-str limit now; 0, no limit, if it has none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
-    def __init__(self, limit: int):
+
+class OutputTooLarge(PolyDivError):
+    """A result value has more decimal digits than the int-to-str limit allows."""
+
+    def __init__(self):
         super().__init__(
-            f"a result value has more than {limit} decimal digits, "
+            f"a result value has more than {_digit_limit()} decimal digits, "
             "the interpreter's int-to-str limit"
         )
 
 
-# The output limit in decimal digits and its bound 10^limit; (0, 0)
-# refuses nothing.
-_LIMIT: ContextVar[tuple[int, int]] = ContextVar("output_limit", default=(0, 0))
+# The bound 10^limit of the output limit in force; 0 refuses nothing.
+_LIMIT: ContextVar[int] = ContextVar("output_limit", default=0)
 # 10^4300 takes tens of microseconds to form, so each bound is formed once.
 _bound = functools.cache(lambda digits: 10**digits if digits else 0)
 
 
-def call_with_output_limit(digits: int, fn: Callable[..., _T], *args) -> _T:
+def call_with_output_limit(fn: Callable[..., _T], *args) -> _T:
     """fn(*args), with every route output formed during the call refused
-    past ``digits`` decimal digits in its numerator or denominator; 0
-    refuses nothing. The previous limit is back in force on return."""
-    token = _LIMIT.set((digits, _bound(digits)))
+    past the int-to-str limit in its numerator or denominator; a limit of
+    0 refuses nothing. The previous limit is back in force on return."""
+    token = _LIMIT.set(_bound(_digit_limit()))
     try:
         return fn(*args)
     finally:
@@ -71,9 +76,9 @@ def call_with_output_limit(digits: int, fn: Callable[..., _T], *args) -> _T:
 def _printable(value: Fraction) -> Fraction:
     """value itself, or OutputTooLarge if the output limit in force
     refuses it: its numerator or denominator is at least 10^limit."""
-    limit, bound = _LIMIT.get()
+    bound = _LIMIT.get()
     if bound and (abs(value.numerator) >= bound or value.denominator >= bound):
-        raise OutputTooLarge(limit)
+        raise OutputTooLarge()
     return value
 
 
@@ -297,8 +302,9 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     m = g.degree
-    den, cleared = _clear_denominators(g.coeffs[::-1])
-    lead, tail = cleared[0], cleared[1:]
+    # Cleared here, not by _clear_denominators, which the check's product uses.
+    den = math.lcm(*[c.denominator for c in g.coeffs])
+    lead, *tail = [c.numerator * (den // c.denominator) for c in reversed(g.coeffs)]
     # The working remainder, highest power first, as numerators over scale.
     window: list[int] = []
     scale = 1

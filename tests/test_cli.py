@@ -548,13 +548,8 @@ OUTPUT_REFUSAL = "error: a result value has more than 4300 decimal digits, the i
 
 
 @pytest.fixture
-def default_digit_limit():
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
+def default_digit_limit(digit_limit):
+    digit_limit(4300)
 
 
 @pytest.fixture
@@ -617,6 +612,46 @@ def test_sequence_stops_at_the_first_term_past_the_limit(capsys, default_digit_l
     formed.clear()
     sequence = cli.SEQUENCES[kind](divisor_views(parse_polynomial(f"x - {WIDE}")), 20)
     assert sequence == tuple(Fraction(WIDE**k) for k in range(20)) == tuple(formed)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        *[(["divide", *WIDE_ARGV, "--method", method], 2) for method in cli.METHODS],
+        *[(["sequence", "--divisor", f"x - {WIDE}", "--kind", kind, "-n", "20"], 3) for kind in cli.SEQUENCES],
+    ],
+    ids=[*cli.METHODS, *[f"sequence-{kind}" for kind in cli.SEQUENCES]],
+)
+def test_routes_stop_at_a_lowered_limit(capsys, digit_limit, formed, argv, count):
+    # At 640 digits the second quotient coefficient, 1/3^1400 with 668
+    # digits, is the first past the limit, as is the third term, 3^1400.
+    digit_limit(640)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", OUTPUT_REFUSAL.replace("4300", "640"))
+    assert len(formed) == count
+    assert 10**667 < max(formed[-1].numerator, formed[-1].denominator) < 10**668
+
+
+def test_check_catches_a_fault_in_clearing_denominators(capsys, monkeypatch):
+    # With D doubled, the check's product halves g*q. A long_divide that
+    # shared the helper would double q, and the check would pass it.
+    clear = polycore._clear_denominators
+
+    def doubled(values):
+        den, ints = clear(values)
+        return 2 * den, ints
+
+    for module in (polycore, closedform, detengine):
+        monkeypatch.setattr(module, "_clear_denominators", doubled)
+    argv = ["--dividend", "x^4", "--divisor", "x^2-x-1"]
+    assert cli.main(["divide", *argv]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "mismatch: method longdiv fails to reconstruct the dividend\n")
+    # verify's reference keeps the healthy quotient x^2 + x + 2.
+    assert cli.main(["verify", *argv]) == 3
+    out = capsys.readouterr()
+    assert out.err == "mismatch: method closed disagrees with longdiv: quotient coefficient of x^0 is 4, expected 2\n"
 
 
 def test_main_sequence_and_delta(capsys):

@@ -579,10 +579,12 @@ def test_quotient_ratio_matches_oracle(pair, x0):
 
 
 def cofactor_ratio(f, g):
-    # The ratio over W's rows above the x0 row, in their built order, with
-    # each minor from its own elimination: det_oracle on the square left
-    # by striking one column. The reference for the integer rows.
-    rows = build_bordered(f, g, 0)[:-1]
+    # The ratio over W's rows above the x0 row, with each minor from its
+    # own elimination: det_oracle on the square left by striking one
+    # column. The reference for the integer rows. Reversed, as in
+    # quotient_ratio, the leads are the pivots, so no row swap or fill-in
+    # slows det_oracle; the reversal's sign cancels in the ratio.
+    rows = build_bordered(f, g, 0)[:-1][::-1]
     t = len(rows) + 1
     minors = [det_oracle(square) for square in struck(rows)]
     det_h = minors.pop()

@@ -314,36 +314,45 @@ def test_polynomial_immutable():
         p.degree_cache = 1
 
 
-@pytest.mark.parametrize("limit", [1, 5, 640])
-def test_printable_refuses_from_ten_to_the_limit(limit):
+@pytest.mark.parametrize("limit", [640, 700, 4300])
+def test_printable_refuses_from_ten_to_the_limit(digit_limit, limit):
+    digit_limit(limit)
     bound = 10**limit
     fitting = (Fraction(bound - 1), Fraction(1 - bound), Fraction(1, bound - 1), Fraction(bound - 1, bound - 2))
     for fits in fitting:
-        assert call_with_output_limit(limit, _printable, fits) is fits
+        assert call_with_output_limit(_printable, fits) is fits
     # 10^limit as a numerator, a negated numerator and a denominator.
     for past in (Fraction(bound), Fraction(-bound), Fraction(1, bound), Fraction(-1, bound), Fraction(bound + 1, 3)):
         with pytest.raises(OutputTooLarge) as caught:
-            call_with_output_limit(limit, _printable, past)
+            call_with_output_limit(_printable, past)
         assert str(caught.value) == (
             f"a result value has more than {limit} decimal digits, the interpreter's int-to-str limit"
         )
 
 
-def test_printable_at_limit_zero_and_outside_a_limit_refuses_nothing():
+def test_printable_at_limit_zero_and_outside_a_limit_refuses_nothing(digit_limit):
     wide = Fraction(10**5000 + 1, 10**4999 + 3)
-    assert call_with_output_limit(0, _printable, wide) is wide
+    digit_limit(0)
+    assert call_with_output_limit(_printable, wide) is wide
+    # Outside a call, _printable does not read the interpreter's limit.
+    digit_limit(640)
     assert _printable(wide) is wide
 
 
-def test_output_limit_ends_with_its_call():
+def test_output_limit_ends_with_its_call(digit_limit):
+    past = Fraction(10**640)
+
     def nested():
         # The inner limit holds only during its own call.
-        assert call_with_output_limit(0, _printable, Fraction(100)) == 100
-        return _printable(Fraction(100))
+        digit_limit(0)
+        assert call_with_output_limit(_printable, past) is past
+        digit_limit(640)
+        return _printable(past)
 
+    digit_limit(640)
     with pytest.raises(OutputTooLarge):
-        call_with_output_limit(2, nested)
+        call_with_output_limit(nested)
     with pytest.raises(OutputTooLarge):
-        call_with_output_limit(2, _printable, Fraction(100))
-    assert polycore._LIMIT.get() == (0, 0)
-    assert _printable(Fraction(100)) == 100
+        call_with_output_limit(_printable, past)
+    assert polycore._LIMIT.get() == 0
+    assert _printable(past) is past

@@ -74,9 +74,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "call_with_output_limit forms the bound for a fixed 4300",
+        "src/polydiv/polycore.py",
+        "    token = _LIMIT.set(_bound(_digit_limit()))\n",
+        "    token = _LIMIT.set(_bound(4300))\n",
+        ("tests/test_cli.py::test_routes_stop_at_a_lowered_limit",),
+    ),
+    Mutant(
         "divide holds its route to no output limit",
         "src/polydiv/cli.py",
-        "    result = call_with_output_limit(_digit_limit(), METHODS[method], f, g)\n",
+        "    result = call_with_output_limit(METHODS[method], f, g)\n",
         "    result = METHODS[method](f, g)\n",
         (
             "tests/test_cli.py::test_divide_stops_at_the_first_coefficient_past_the_limit",
@@ -86,7 +93,7 @@ MUTANTS = (
     Mutant(
         "sequence holds its terms to no output limit",
         "src/polydiv/cli.py",
-        "    terms = call_with_output_limit(_digit_limit(), SEQUENCES[kind], views, count)\n",
+        "    terms = call_with_output_limit(SEQUENCES[kind], views, count)\n",
         "    terms = SEQUENCES[kind](views, count)\n",
         ("tests/test_cli.py::test_sequence_stops_at_the_first_term_past_the_limit",),
     ),
@@ -235,6 +242,14 @@ MUTANTS = (
             "tests/test_detengine.py::test_mixed_deltas_match_paper_sums",
             "tests/test_detengine.py::test_quotient_from_dets_matches_oracle",
         ),
+    ),
+    Mutant(
+        "long_divide back on _clear_denominators",
+        "src/polydiv/polycore.py",
+        "    den = math.lcm(*[c.denominator for c in g.coeffs])\n"
+        "    lead, *tail = [c.numerator * (den // c.denominator) for c in reversed(g.coeffs)]\n",
+        "    den, (lead, *tail) = _clear_denominators(g.coeffs[::-1])\n",
+        ("tests/test_cli.py::test_check_catches_a_fault_in_clearing_denominators",),
     ),
     Mutant(
         "reconstructs without the zero-divisor guard",
