@@ -450,3 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(output)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,9 @@ Everything is exact. The det_oracle here is the brute-force referee for
 every closed determinant formula in the package; it shares no code with
 the formulas it checks. There is one elimination, _integer_minors: a
 fraction-free pass over integer rows that yields every maximal minor of
-an r-by-(r+1) matrix at once, and updates a row only when it is next
-used, straight from the pivot it was last brought to. It has two
-callers. det_oracle is its checked boundary for Fraction rows: it
+an r-by-(r+1) matrix at once, and brings an entry up to date only when
+it is read, straight from the pivot at which it was last written. It
+has two callers. det_oracle is its checked boundary for Fraction rows: it
 checks the shape, refuses floats and clears each row to integers.
 det-ratio builds its rows as integer windows itself, clearing the
 divisor and the dividend column once.
@@ -113,56 +113,81 @@ def _integer_minors(grid: list[list[int]]) -> list[int]:
     striking the free column; each free entry is a Cramer numerator, the
     minor with the free column in place of its row's pivot column.
 
-    Scaling is lazy. A step with pivot p after pivot prev only multiplies
-    a row whose entry in the pivot column is 0 by p / prev, so that row is
-    skipped and keeps its level, the pivot at which it was last brought
-    up to date. The skipped ratios telescope, so one rule updates every
-    row with a nonzero factor: row * p - factor * top, divided by the
-    row's level, is the eager update of its caught-up values, and exact,
-    since both are minors. A pivot row, and at the end of the pass the
-    free column, is caught up first: multiplied by prev and divided by
-    its level. A pivot row is then left as it is and counts as being at
-    the new pivot's level.
+    Scaling is lazy, entry by entry, where the eager pass rescales every
+    entry at every step. Each entry has a level, the step at whose pivot
+    it was last written (-1 if never, where the pivot reads 1), and its
+    eager value is the stored one times the newest pivot over its
+    level's pivot. So a step that would only rescale an entry leaves it
+    as it is, and an entry is caught up only when it is read. At each
+    step the pivot row's nonzero entries are caught up and count as
+    written at that step, since the eager pass leaves that row as it is.
+    Every other row with a nonzero factor in the pivot column is updated
+    only where the pivot row is nonzero: entry and factor are combined
+    at the later of their two levels, the earlier one caught up to it,
+    and divided by that level's pivot. Both are minors there, so this is
+    the eager update, and exact; the later level, not the newest, keeps
+    the divisor 1 or an early pivot where it can. The free column is
+    caught up at the end. On det-ratio's and pure-direct's banded rows
+    an update writes one entry: the dividend column, or the moved one.
     """
     size = len(grid)
     unused = list(range(size + 1))
-    # The pivot at which each row was last brought up to date.
-    level = [1] * size
-    sign = prev = 1
+    # The step at whose pivot each entry was last written, -1 if never;
+    # pivots[-1] is the 1 that stands before the first step.
+    level = [[-1] * (size + 1) for _ in range(size)]
+    pivots = [0] * size + [1]
+    sign = 1
     for k in range(size):
         # The first unused column with a nonzero entry in row k or below;
         # that entry's row swaps up to row k. Lazy scaling keeps zeros zero.
-        found = next(((col, r) for col in unused for r in range(k, size) if grid[r][col]), None)
-        if found is None:
+        for col in unused:
+            r = k
+            while r < size and not grid[r][col]:
+                r += 1
+            if r < size:
+                break
+        else:
             return [0] * (size + 1)
-        col, r = found
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
             level[k], level[r] = level[r], level[k]
             sign = -sign
-        top = grid[k]
-        if level[k] != prev:
-            for j in unused:
-                top[j] = top[j] * prev // level[k]
         unused.remove(col)
-        pivot = top[col]
+        top, top_level, prev = grid[k], level[k], pivots[k - 1]
+        lag = top_level[col]
+        pivot = pivots[k] = top[col] if lag == k - 1 else top[col] * prev // pivots[lag]
+        # The pivot row's nonzero unused entries, caught up to prev.
+        cols = []
+        for j in unused:
+            if top[j]:
+                if top_level[j] != k - 1:
+                    top[j] = top[j] * prev // pivots[top_level[j]]
+                top_level[j] = k
+                cols.append(j)
         for i, row in enumerate(grid):
             factor = row[col]
             if i == k or not factor:
                 continue
-            for j in unused:
-                row[j] = (row[j] * pivot - factor * top[j]) // level[i]
-            level[i] = pivot
-        level[k] = pivot
-        prev = pivot
+            row_level = level[i]
+            b = row_level[col]
+            for j in cols:
+                # A zero entry is combined at the factor's level.
+                x, a = row[j], row_level[j]
+                f, c = factor, b
+                if x and a > b:
+                    f, c = factor * pivots[a] // pivots[b], a
+                elif x and a < b:
+                    x = x * pivots[b] // pivots[a]
+                row[j] = (x * pivot - f * top[j]) // pivots[c]
+                row_level[j] = k
     (free,) = unused
-    for row, last in zip(grid, level):
-        row[free] = row[free] * prev // last
+    last = pivots[size - 1]
+    ends = [row[free] * last // pivots[lev[free]] for row, lev in zip(grid, level)]
     # Column j pivots in row j below the free column and row j - 1 above
     # it; moving the free column into its place takes |free - j| - 1
     # adjacent swaps.
     return [
-        sign * (prev if j == free else (-1) ** (abs(free - j) - 1) * grid[j - (j > free)][free])
+        sign * (last if j == free else (-1) ** (abs(free - j) - 1) * ends[j - (j > free)])
         for j in range(size + 1)
     ]
 

@@ -154,9 +154,11 @@ class Polynomial:
         if isinstance(other, Polynomial):
             # Descending from the leading coefficients, where the
             # denominators of a quotient nest; the shorter factor is
-            # cleared once and its denominator divided back out.
+            # cleared once, here and not by _clear_denominators, which the
+            # formula routes use, and its denominator divided back out.
             short, long_ = sorted((self.coeffs, other.coeffs), key=len)
-            den, weights = _clear_denominators(short[::-1])
+            den = math.lcm(*[c.denominator for c in short])
+            weights = [c.numerator * (den // c.denominator) for c in reversed(short)]
             count = len(short) + len(long_) - 1
             return Polynomial(list(_convolve(weights, long_[::-1], [den] * count))[::-1])
         return Polynomial([c * _coerce(other) for c in self.coeffs])
@@ -302,7 +304,7 @@ def long_divide(f: Polynomial, g: Polynomial) -> DivisionResult:
     if g.is_zero:
         raise ZeroDivisor("cannot divide by the zero polynomial")
     m = g.degree
-    # Cleared here, not by _clear_denominators, which the check's product uses.
+    # Cleared here, not by _clear_denominators, which the formula routes use.
     den = math.lcm(*[c.denominator for c in g.coeffs])
     lead, *tail = [c.numerator * (den // c.denominator) for c in reversed(g.coeffs)]
     # The working remainder, highest power first, as numerators over scale.

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -454,6 +455,32 @@ def test_cold_start_imports_no_dataclasses():
     assert proc.stdout == "quotient: x^2 + x + 2\nremainder: 3x + 2\n[]\n"
 
 
+@pytest.mark.parametrize("module", ["polydiv", "polydiv.cli"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--dividend", "x^4", "--divisor", "x^2-x-1", "--format", "json"], 0),
+        (["divide", "--dividend", "x^4", "--divisor", "x^2-x-1", "--method", "det-ratio"], 0),
+        (["divide", "--dividend", "x", "--divisor", "0"], 2),
+        (["delta", "--divisor", "x^2-x-1", "-k", "9" * 5000], 1),
+    ],
+    ids=["verify-json", "divide-det-ratio", "zero-divisor", "long-count"],
+)
+def test_python_m_runs_main_from_a_checkout(capsys, default_digit_limit, tmp_path, module, argv, code):
+    # python -m with src on the path, as from a checkout, replies as main
+    # does. -I would drop PYTHONPATH, so the child gets the environment
+    # without its PYTHON* variables, and -s, in its place.
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-s", "-m", module, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert cli.main(argv) == code
+    out = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+
+
 def test_main_domain_error_exit(capsys):
     assert cli.main(["divide", "--dividend", "x", "--divisor", "0"]) == 2
     out = capsys.readouterr()
@@ -634,8 +661,10 @@ def test_routes_stop_at_a_lowered_limit(capsys, digit_limit, formed, argv, count
 
 
 def test_check_catches_a_fault_in_clearing_denominators(capsys, monkeypatch):
-    # With D doubled, the check's product halves g*q. A long_divide that
-    # shared the helper would double q, and the check would pass it.
+    # With D doubled, every formula route doubles q. Neither long_divide
+    # nor the check's product clears through the helper, so longdiv stays
+    # healthy and the check refuses the three doubled quotients; a product
+    # that shared the helper would halve g*q and pass them.
     clear = polycore._clear_denominators
 
     def doubled(values):
@@ -645,9 +674,13 @@ def test_check_catches_a_fault_in_clearing_denominators(capsys, monkeypatch):
     for module in (polycore, closedform, detengine):
         monkeypatch.setattr(module, "_clear_denominators", doubled)
     argv = ["--dividend", "x^4", "--divisor", "x^2-x-1"]
-    assert cli.main(["divide", *argv]) == 3
+    assert cli.main(["divide", *argv]) == 0
     out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "mismatch: method longdiv fails to reconstruct the dividend\n")
+    assert (out.out, out.err) == ("quotient: x^2 + x + 2\nremainder: 3x + 2\n", "")
+    for method in ("closed", "det-formula", "det-ratio"):
+        assert cli.main(["divide", *argv, "--method", method]) == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"mismatch: method {method} fails to reconstruct the dividend\n")
     # verify's reference keeps the healthy quotient x^2 + x + 2.
     assert cli.main(["verify", *argv]) == 3
     out = capsys.readouterr()

@@ -297,6 +297,95 @@ def test_integer_minors_match_eager_elimination_on_sparse_rows():
         assert integer_minors(rows) == eager_minors(rows), rows
 
 
+def handed_grids(fn, *args):
+    # The integer rows that fn hands the integer core, copied before the
+    # core overwrites them.
+    handed = []
+    core = detengine._integer_minors
+
+    def recording_core(grid):
+        handed.append([list(row) for row in grid])
+        return core(grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detengine, "_integer_minors", recording_core)
+        fn(*args)
+    return handed
+
+
+@st.composite
+def banded_shapes(draw):
+    # f and g with W of order up to the cap of 64 (where the test's
+    # first example is; its second is at 256 bits), m 1 .. 8, and
+    # coefficients of 8 to 256 bits, a quarter of them 0 below the leads.
+    # Wider coefficients come at lower orders, which bounds the time of
+    # the eager reference.
+    rng = draw(st.randoms(use_true_random=False))
+    bits = draw(st.sampled_from((8, 16, 32, 64, 128, 256)))
+    order = draw(st.integers(min_value=1, max_value=min(63, 8192 // bits)))
+    m = draw(st.integers(min_value=1, max_value=8))
+
+    def coeff():
+        return rng.choice((0, 1, 1, 1)) * rng.randint(-(2**bits), 2**bits)
+
+    def lead():
+        return rng.choice((1, -1)) * rng.randint(1, 2**bits)
+
+    f = Polynomial([coeff() for _ in range(order + m - 1)] + [lead()])
+    g = Polynomial([coeff() for _ in range(m)] + [lead()])
+    return f, g
+
+
+def integer_pair(n, m, bits):
+    # f of degree n and g of degree m, every coefficient a positive
+    # integer of at most the given bits.
+    rng = random.Random(0)
+    return (
+        Polynomial([rng.randint(1, 2**bits) for _ in range(n + 1)]),
+        Polynomial([rng.randint(1, 2**bits) for _ in range(m + 1)]),
+    )
+
+
+@given(banded_shapes())
+@example(integer_pair(70, 8, 8))
+@example(integer_pair(39, 8, 256))
+@settings(max_examples=25, deadline=None)
+def test_integer_minors_match_eager_elimination_on_route_rows(pair):
+    # The rows the two determinant routes hand over: quotient_ratio's
+    # reversed Hankel window with the dividend column, of order n - m + 1,
+    # and delta_pure_direct's Toeplitz band with its first column moved
+    # to the end, bordered by det_oracle's zero column, at the same order.
+    f, g = pair
+    (ratio,) = handed_grids(quotient_ratio, f, g)
+    (direct,) = handed_grids(delta_pure_direct, DeltaPureSpec(divisor_views(g), len(ratio)))
+    for grid in ratio, direct:
+        assert integer_minors(grid) == eager_minors(grid)
+
+
+class CountingRow(list):
+    """A row that counts the entries written into it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize("n, m", [(34, 4), (65, 4)])
+def test_quotient_ratio_elimination_writes_the_dividend_column_alone(n, m):
+    # At each step only the dividend entries of the m rows below the
+    # pivot row take new values, so the pass writes at most order * m
+    # entries; order * (m + 2) leaves room for catch-ups. Rescaling every
+    # entry of every updated row wrote 1995 at order 31 and 7854 at 62.
+    (grid,) = handed_grids(quotient_ratio, *integer_pair(n, m, 16))
+    rows = [CountingRow(row) for row in grid]
+    assert integer_minors(grid) == _integer_minors(rows)
+    assert sum(row.writes for row in rows) <= len(grid) * (m + 2)
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [
@@ -539,7 +628,7 @@ def test_quotient_ratio_constant_multiple():
     assert quotient_ratio(f, GOLDEN_G) == Polynomial([Fraction(7, 3)])
 
 
-def test_toeplitz_pads_with_a_zero_of_the_entries_type(monkeypatch):
+def test_toeplitz_pads_with_a_zero_of_the_entries_type():
     ints = _toeplitz((1, 2, 3), 1, 3, 4)
     assert ints == ((2, 3, 0, 0), (1, 2, 3, 0), (0, 1, 2, 3))
     assert {type(v) for row in ints for v in row} == {int}
@@ -548,18 +637,10 @@ def test_toeplitz_pads_with_a_zero_of_the_entries_type(monkeypatch):
     assert {type(v) for row in fractions for v in row} == {Fraction}
     # So quotient_ratio hands the integer core int rows only, padding
     # included: here H is order 3 and anti-triangular.
-    handed = []
-    core = detengine._integer_minors
-
-    def recording_core(grid):
-        handed.append([list(row) for row in grid])
-        return core(grid)
-
-    monkeypatch.setattr(detengine, "_integer_minors", recording_core)
     f = Polynomial([Fraction(1, 3), 0, 0, 0, 2])
     g = Polynomial([-1, Fraction(-1, 2), 1])
+    (grid,) = handed_grids(quotient_ratio, f, g)
     assert quotient_ratio(f, g) == long_divide(f, g).quotient
-    (grid,) = handed
     assert 0 in grid[0] and {type(v) for row in grid for v in row} == {int}
 
 

@@ -135,8 +135,8 @@ MUTANTS = (
     Mutant(
         "_integer_minors without the end-of-pass catch-up",
         "src/polydiv/detengine.py",
-        "    for row, last in zip(grid, level):\n        row[free] = row[free] * prev // last\n",
-        "",
+        "    ends = [row[free] * last // pivots[lev[free]] for row, lev in zip(grid, level)]\n",
+        "    ends = [row[free] for row in grid]\n",
         (
             "tests/test_detengine.py::test_integer_minors_hand_cases",
             "tests/test_detengine.py::test_integer_minors_match_eager_elimination",
@@ -145,7 +145,7 @@ MUTANTS = (
     Mutant(
         "_integer_minors without the pivot row's catch-up",
         "src/polydiv/detengine.py",
-        "        if level[k] != prev:\n            for j in unused:\n                top[j] = top[j] * prev // level[k]\n",
+        "                if top_level[j] != k - 1:\n                    top[j] = top[j] * prev // pivots[top_level[j]]\n",
         "",
         (
             "tests/test_detengine.py::test_integer_minors_hand_cases",
@@ -153,9 +153,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_integer_minors divides a lagging row by prev in place of its recorded level",
+        "_integer_minors combines two entries at prev in place of the later of their levels",
         "src/polydiv/detengine.py",
-        "// level[i]\n",
+        "// pivots[c]\n",
         "// prev\n",
         (
             "tests/test_detengine.py::test_integer_minors_hand_cases",
@@ -165,7 +165,7 @@ MUTANTS = (
     Mutant(
         "_integer_minors without the pivot row's level advanced",
         "src/polydiv/detengine.py",
-        "        level[k] = pivot\n",
+        "                top_level[j] = k\n",
         "",
         (
             "tests/test_detengine.py::test_integer_minors_hand_cases",
@@ -249,6 +249,14 @@ MUTANTS = (
         "    den = math.lcm(*[c.denominator for c in g.coeffs])\n"
         "    lead, *tail = [c.numerator * (den // c.denominator) for c in reversed(g.coeffs)]\n",
         "    den, (lead, *tail) = _clear_denominators(g.coeffs[::-1])\n",
+        ("tests/test_cli.py::test_check_catches_a_fault_in_clearing_denominators",),
+    ),
+    Mutant(
+        "Polynomial.__mul__ back on _clear_denominators",
+        "src/polydiv/polycore.py",
+        "            den = math.lcm(*[c.denominator for c in short])\n"
+        "            weights = [c.numerator * (den // c.denominator) for c in reversed(short)]\n",
+        "            den, weights = _clear_denominators(short[::-1])\n",
         ("tests/test_cli.py::test_check_catches_a_fault_in_clearing_denominators",),
     ),
     Mutant(
