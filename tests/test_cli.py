@@ -160,23 +160,6 @@ needs_digit_limit = pytest.mark.skipif(
 
 
 @needs_digit_limit
-def test_cli_starts_under_a_lowered_digit_limit():
-    # 640, the least limit CPython takes, is below the 1234 digits of 2^4096.
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from polydiv import cli; "
-        "sys.exit(cli.main(sys.argv[2:]))"
-    )
-    src = Path(cli.__file__).resolve().parent.parent
-    argv = ["divide", "--dividend", "x^4", "--divisor", "x^2-x-1"]
-    proc = subprocess.run(
-        [sys.executable, "-I", "-X", "int_max_str_digits=640", "-c", code, str(src), *argv],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "quotient: x^2 + x + 2\nremainder: 3x + 2\n"
-
-
-@needs_digit_limit
 @pytest.mark.parametrize(
     "dividend, digits, column",
     [("1" * 700, 700, 1), ("[1, " + "1" * 700 + "]", 700, 5), ("x^" + "1" * 701, 701, 3)],
@@ -410,33 +393,6 @@ def test_long_parse_refusal_keeps_head_and_tail(capsys, argv, head, tail):
     assert tail in out.err[-100:]
 
 
-@pytest.mark.parametrize(
-    "divisor, code, stdout, stderr",
-    [
-        ("x-1", 0, "quotient: x + 1\nremainder: 0\n", ""),
-        ("0", 2, "", "error: cannot divide by the zero polynomial\n"),
-    ],
-    ids=["success", "domain-error"],
-)
-def test_console_entry_point_exits_with_main_code(divisor, code, stdout, stderr):
-    # pip writes the polydiv script from [project.scripts]: it imports
-    # the named function and exits with what it returns.
-    src = Path(cli.__file__).resolve().parent.parent
-    pyproject = (src.parent / "pyproject.toml").read_text()
-    entry = re.search(r'^\[project\.scripts\]\npolydiv = "(.*)"$', pyproject, re.M)
-    assert entry.group(1) == "polydiv.cli:main"
-    wrapper = (
-        "import sys; sys.path.insert(0, sys.argv.pop(1)); "
-        "from polydiv.cli import main; sys.exit(main())"
-    )
-    argv = ["divide", "--dividend", "x^2-1", "--divisor", divisor]
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", wrapper, str(src), *argv],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
-
-
 def test_cold_start_imports_no_dataclasses():
     # The set-up request every command-line call pays for, in a fresh
     # interpreter: dataclasses drags in inspect, ast, dis and tokenize.
@@ -453,32 +409,6 @@ def test_cold_start_imports_no_dataclasses():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "quotient: x^2 + x + 2\nremainder: 3x + 2\n[]\n"
-
-
-@pytest.mark.parametrize("module", ["polydiv", "polydiv.cli"])
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["verify", "--dividend", "x^4", "--divisor", "x^2-x-1", "--format", "json"], 0),
-        (["divide", "--dividend", "x^4", "--divisor", "x^2-x-1", "--method", "det-ratio"], 0),
-        (["divide", "--dividend", "x", "--divisor", "0"], 2),
-        (["delta", "--divisor", "x^2-x-1", "-k", "9" * 5000], 1),
-    ],
-    ids=["verify-json", "divide-det-ratio", "zero-divisor", "long-count"],
-)
-def test_python_m_runs_main_from_a_checkout(capsys, default_digit_limit, tmp_path, module, argv, code):
-    # python -m with src on the path, as from a checkout, replies as main
-    # does. -I would drop PYTHONPATH, so the child gets the environment
-    # without its PYTHON* variables, and -s, in its place.
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-s", "-m", module, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert cli.main(argv) == code
-    out = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
 
 
 def test_main_domain_error_exit(capsys):
@@ -658,6 +588,73 @@ def test_routes_stop_at_a_lowered_limit(capsys, digit_limit, formed, argv, count
     assert (out.out, out.err) == ("", OUTPUT_REFUSAL.replace("4300", "640"))
     assert len(formed) == count
     assert 10**667 < max(formed[-1].numerator, formed[-1].denominator) < 10**668
+
+
+# The console contract: started as pip's script or by -m, under the
+# default int-to-str limit or 640, the least CPython takes and below the
+# 1234 digits of 2^4096, the command line replies as main does. A row
+# names the start, the limit (LIMITS gives the child's flags and
+# environment), argv, the exit code and text the reply shows.
+LIMITS = {
+    "default": ([], {}),
+    "env-640": ([], {"PYTHONINTMAXSTRDIGITS": "640"}),
+    "flag-640": (["-X", "int_max_str_digits=640"], {}),
+}
+X4 = ["divide", "--dividend", "x^4", "--divisor", "x^2-x-1"]
+X2 = ["divide", "--dividend", "x^2-1", "--divisor"]
+PURE_DIRECT = ["delta", "--divisor", "x^2-x-1", "--variant", "pure-direct", "-k"]
+AGREEMENT = '"agreement": {"longdiv": true, "closed": true, "det-formula": true, "det-ratio": true}'
+ON_EVERY_ENTRY = {
+    "verify-json": (["verify", *X4[1:], "--format", "json"], 0, AGREEMENT),
+    "divide-det-ratio": ([*X4, "--method", "det-ratio"], 0, "quotient: x^2 + x + 2\n"),
+    "zero-divisor": (["divide", "--dividend", "x", "--divisor", "0"], 2, "cannot divide by the zero polynomial"),
+    "long-count": (["delta", "--divisor", "x^2-x-1", "-k", "9" * 5000], 1, "characters left out]"),
+}
+
+
+def _row(entry, limit, name, argv, code, shows):
+    marks = needs_digit_limit if limit != "default" or "4300" in shows else ()
+    return pytest.param(entry, limit, argv, code, shows, marks=marks, id=f"{entry}-{limit}-{name}")
+
+
+@pytest.mark.parametrize(
+    "entry, limit, argv, code, shows",
+    [
+        *[_row(e, "default", k, *c) for e in ("script", "polydiv", "polydiv.cli") for k, c in ON_EVERY_ENTRY.items()],
+        _row("script", "default", "success", [*X2, "x-1"], 0, "quotient: x + 1\nremainder: 0\n"),
+        _row("script", "default", "domain-error", [*X2, "0"], 2, "error: cannot divide by the zero polynomial\n"),
+        _row("script", "default", "pure-direct", [*PURE_DIRECT, "2"], 0, "2\n"),
+        _row("script", "default", "pure-direct-cap", [*PURE_DIRECT, "65"], 2, "matrix order 65 exceeds the cap 64"),
+        _row("script", "default", "wide", ["divide", *WIDE_ARGV], 2, "more than 4300 decimal digits"),
+        _row("script", "env-640", "wide", ["divide", *WIDE_ARGV], 2, "more than 640 decimal digits"),
+        _row("script", "env-640", "divide", X4, 0, "quotient: x^2 + x + 2\nremainder: 3x + 2\n"),
+        _row("script", "flag-640", "divide", X4, 0, "quotient: x^2 + x + 2\nremainder: 3x + 2\n"),
+    ],
+)
+def test_console_entry_points_reply_as_main(request, capsys, tmp_path, entry, limit, argv, code, shows):
+    # -I would drop PYTHONINTMAXSTRDIGITS and PYTHONPATH, so the child gets
+    # the environment without its PYTHON* variables, src on its path, and -s.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    flags, extra = LIMITS[limit]
+    env.update(extra, PYTHONPATH=str(src))
+    start = ["-m", entry]
+    if entry == "script":
+        # What pip writes from [project.scripts]: import the named
+        # function and exit with what it returns.
+        pyproject = (src.parent / "pyproject.toml").read_text()
+        module, name = re.search(r'^\[project\.scripts\]\npolydiv = "(.*):(.*)"$', pyproject, re.M).groups()
+        start = ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+    proc = subprocess.run(
+        [sys.executable, "-s", *flags, *start, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    if hasattr(sys, "set_int_max_str_digits"):
+        request.getfixturevalue("digit_limit")(4300 if limit == "default" else 640)
+    assert cli.main(argv) == code
+    out = capsys.readouterr()
+    assert shows in out.out + out.err
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
 
 
 def test_check_catches_a_fault_in_clearing_denominators(capsys, monkeypatch):

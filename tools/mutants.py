@@ -400,6 +400,41 @@ MUTANTS = (
         '"--kind", ',
         ("tests/test_cli.py::test_main_usage_error_is_parse_error[bad-kind]",),
     ),
+    Mutant(
+        "python -m polydiv drops main's exit code",
+        "src/polydiv/__main__.py",
+        "sys.exit(main())",
+        "main()",
+        ("tests/test_cli.py::test_console_entry_points_reply_as_main",),
+    ),
+    Mutant(
+        "python -m polydiv.cli runs nothing",
+        "src/polydiv/cli.py",
+        'if __name__ == "__main__":\n    sys.exit(main())\n',
+        'if __name__ == "__main__":\n    pass\n',
+        ("tests/test_cli.py::test_console_entry_points_reply_as_main",),
+    ),
+    Mutant(
+        "remainder_closed subtracts its convolution",
+        "src/polydiv/closedform.py",
+        "_printable(f.coeff(k) + s)",
+        "_printable(f.coeff(k) - s)",
+        ("tests/test_split_divisors.py::test_routes_and_verify_agree_with_division_by_linear_factors",),
+    ),
+    Mutant(
+        "long_divide leaves g's denominator out of the quotient",
+        "src/polydiv/polycore.py",
+        "Fraction(top * den, scale * lead)",
+        "Fraction(top, scale * lead)",
+        ("tests/test_split_divisors.py::test_routes_and_verify_agree_with_division_by_linear_factors",),
+    ),
+    Mutant(
+        "det-formula takes its quotient from quotient_closed",
+        "src/polydiv/detengine.py",
+        "    return divide_with(f, g, quotient_from_dets)\n",
+        "    from .closedform import quotient_closed\n\n    return divide_with(f, g, quotient_closed)\n",
+        ("tests/test_counts.py::test_product_counts_follow_each_formula",),
+    ),
 )
 
 
